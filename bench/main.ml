@@ -71,7 +71,7 @@ let pool () =
         | None ->
             Option.map
               (fun p ->
-                Parallel.Fault.create ~p_fault:p ?p_kill:options.chaos_kill
+                Chaos.create ~p_fault:p ?p_kill:options.chaos_kill
                   ~seed:options.seed ())
               options.chaos
       in
@@ -583,6 +583,29 @@ let ablation_overlap () =
 (* Coverage: the incremental coverage engine, cache on vs off.        *)
 (* ------------------------------------------------------------------ *)
 
+(* What a beam step evaluates: the bottom clauses of the first four
+   positives, each followed by its chain of ARMG generalizations against
+   every third positive (newest first). *)
+let armg_candidates (d : Dataset.t) cov ~rng =
+  let acc = ref [] in
+  List.iter
+    (fun seed ->
+      let c =
+        ref (Learning.Bottom_clause.build d.db d.manual_bias ~rng ~example:seed)
+      in
+      acc := !c :: !acc;
+      List.iteri
+        (fun i e ->
+          if i mod 3 = 0 then
+            match Learning.Armg.generalize cov !c ~example:e with
+            | Some c' ->
+                c := c';
+                acc := c' :: !acc
+            | None -> ())
+        d.positives)
+    (Logic.Util.take 4 d.positives);
+  !acc
+
 (* A/B of the incremental coverage engine on the full learner: the same
    fixed-seed run with the verdict memo on and off. Verdicts are pure, so
    the learned definitions must be bit-identical (also under a 1-domain
@@ -597,16 +620,15 @@ let coverage_bench () =
   hr ();
   let d = generate "uw" in
   let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
-  let run ?pool ?(use_compiled = true) use_cache =
+  let run ?pool use_cache =
     let b = Budget.create () in
     let rng = Random.State.make [| options.seed; 3 |] in
-    (* pruning off: the A/Bs below compare subsumption-try counts between
-       memo on/off and compiled/symbolic; the failure-constraint store
-       (compiled-only) would skew both comparisons. It gets its own
-       experiment ("pruning"). *)
+    (* pruning off: the A/B below compares subsumption-try counts between
+       memo on/off; the failure-constraint store would skew the comparison.
+       It gets its own experiment ("pruning"). *)
     let cov =
-      Learning.Coverage.create ~use_cache ~use_compiled ~use_pruning:false
-        d.Dataset.db d.Dataset.manual_bias ~rng
+      Learning.Coverage.create ~use_cache ~use_pruning:false d.Dataset.db
+        d.Dataset.manual_bias ~rng
     in
     let config =
       { Learning.Learn.default_config with
@@ -667,119 +689,99 @@ let coverage_bench () =
       ("uw.clauses", Bench_json.I (List.length rc.Learning.Learn.definition));
       ("uw.identical_on_vs_off", Bench_json.B identical);
       ("uw.identical_pool1", Bench_json.B identical_pool) ];
-  (* ---- Compiled evaluation A/B (the clause-compilation layer) ---- *)
+  (* ---- Compiled kernel vs the symbolic oracle, per evaluation ---- *)
   hr ();
-  Fmt.pr "Coverage — compiled evaluation A/B (int-coded kernel vs symbolic)@.";
+  Fmt.pr "Coverage — compiled kernel vs the symbolic oracle (per evaluation)@.";
   hr ();
-  (* Full-learner A/B first: same fixed seed, kernel on vs off; definitions
-     must be bit-identical, sequentially and under a 1-domain pool. *)
-  let rs, ts, cs, _ = run ~use_compiled:false true in
-  let compiled_identical =
-    render rc.Learning.Learn.definition = render rs.Learning.Learn.definition
-  in
-  let compiled_identical_pool =
-    render rs.Learning.Learn.definition = render rp.Learning.Learn.definition
-  in
-  Fmt.pr "compiled : %8.3fs  %7d subsumption tries@." tc
-    cc.Budget.subsumption_tries;
-  Fmt.pr "symbolic : %8.3fs  %7d subsumption tries@." ts
-    cs.Budget.subsumption_tries;
-  Fmt.pr "learner wall speedup %.2fx; definitions identical: %s (sequential) \
-          / %s (1-domain pool)@."
-    (ts /. tc)
-    (if compiled_identical then "YES" else "NO -- DETERMINISM BUG")
-    (if compiled_identical_pool then "YES" else "NO -- DETERMINISM BUG");
-  (* Per-eval latency distribution: one beam-step-shaped workload (bottom
-     clauses plus ARMG generalization chains), every (clause, example) pair
-     timed individually on fresh UNCACHED contexts so each sample is a real
-     evaluation, not a memo probe. Exact percentiles from the sorted
-     arrays — the process-wide Obs histogram (coverage.eval_s) is
-     log-bucketed and shared between the two passes, so it cannot give an
+  (* One beam-step-shaped workload (bottom clauses plus ARMG generalization
+     chains) against every example's ground BC, each (candidate, ground)
+     pair timed individually on both engines: the kernel the learner runs
+     ([Logic.Compiled.eval]) and the reference it must agree with
+     ([Oracle.eval_prefix]), each behind the same symbolic head binding.
+     Exact percentiles from the sorted arrays — the process-wide Obs
+     histogram (coverage.eval_s) is log-bucketed, so it cannot give an
      honest A/B. *)
-  let mk_uncached use_compiled =
-    (* pruning off: the back-to-back eval pairs below must both be real
-       evaluations, not a prune-store probe answering the second one *)
-    Learning.Coverage.create ~use_cache:false ~use_compiled
-      ~use_pruning:false d.Dataset.db d.Dataset.manual_bias
-      ~rng:(Random.State.make [| options.seed; 3 |])
-  in
   let examples = positives @ negatives in
   let candidates =
-    let cov = mk_uncached true in
-    let rng = Random.State.make [| options.seed; 11 |] in
-    let acc = ref [] in
-    List.iter
-      (fun seed ->
-        let c =
-          ref (Learning.Bottom_clause.build d.Dataset.db d.Dataset.manual_bias
-                 ~rng ~example:seed)
+    armg_candidates d
+      (Learning.Coverage.create d.Dataset.db d.Dataset.manual_bias
+         ~rng:(Random.State.make [| options.seed; 3 |]))
+      ~rng:(Random.State.make [| options.seed; 11 |])
+  in
+  let tab = Logic.Compiled.Symtab.create () in
+  let scratch = Logic.Compiled.make_scratch () in
+  let grounds =
+    List.mapi
+      (fun i e ->
+        let body =
+          Logic.Clause.body
+            (Learning.Bottom_clause.build_ground d.Dataset.db
+               d.Dataset.manual_bias
+               ~rng:(Random.State.make [| options.seed; 5; i |])
+               ~example:e)
         in
-        acc := !c :: !acc;
-        List.iteri
-          (fun i e ->
-            if i mod 3 = 0 then
-              match Learning.Armg.generalize cov !c ~example:e with
-              | Some c' ->
-                  c := c';
-                  acc := c' :: !acc
-              | None -> ())
-          positives)
-      (Logic.Util.take 4 positives);
-    !acc
+        (e, Logic.Compiled.compile_ground tab ~example:e body,
+         Oracle.ground_of_literals body))
+      examples
   in
-  let time_evals cov =
-    Learning.Coverage.warm cov examples;
-    let ts = ref [] and verdicts = ref [] in
-    List.iter
-      (fun c ->
-        List.iter
-          (fun e ->
-            (* min of 2 back-to-back runs per pair: drops timer noise
-               without letting the memo answer (the context is uncached) *)
+  let ts_c = ref [] and ts_o = ref [] and verdicts_agree = ref true in
+  List.iter
+    (fun c ->
+      let plan = Logic.Compiled.compile tab c in
+      List.iter
+        (fun (e, cg, og) ->
+          (* min of 2 back-to-back runs per pair drops timer noise *)
+          let time f =
             let t0 = Unix.gettimeofday () in
-            let v = Learning.Coverage.eval cov c e in
+            let v = f () in
             let t1 = Unix.gettimeofday () in
-            let v' = Learning.Coverage.eval cov c e in
-            let t2 = Unix.gettimeofday () in
-            ignore v';
-            ts := Float.min (t1 -. t0) (t2 -. t1) :: !ts;
-            verdicts := v :: !verdicts)
-          examples)
-      candidates;
-    let a = Array.of_list !ts in
+            ignore (f ());
+            (v, Float.min (t1 -. t0) (Unix.gettimeofday () -. t1))
+          in
+          let v_c, t_c =
+            time (fun () ->
+                match Learning.Coverage.head_subst c e with
+                | None -> Logic.Compiled.Blocked 0
+                | Some _ -> Logic.Compiled.eval scratch tab plan cg)
+          in
+          let v_o, t_o =
+            time (fun () ->
+                match Learning.Coverage.head_subst c e with
+                | None -> Logic.Compiled.Blocked 0
+                | Some subst -> Oracle.eval_prefix ~subst c og)
+          in
+          ts_c := t_c :: !ts_c;
+          ts_o := t_o :: !ts_o;
+          let agree =
+            match (v_c, v_o) with
+            | Logic.Compiled.Covered w1, Logic.Compiled.Covered w2 ->
+                Logic.Substitution.compare w1 w2 = 0
+            | Logic.Compiled.Blocked i, Logic.Compiled.Blocked j -> i = j
+            | _ -> false
+          in
+          if not agree then verdicts_agree := false)
+        grounds)
+    candidates;
+  let sorted l =
+    let a = Array.of_list l in
     Array.sort compare a;
-    (a, !verdicts)
+    a
   in
+  let a_c = sorted !ts_c and a_s = sorted !ts_o in
+  let verdicts_agree = !verdicts_agree in
   let pct = Obs.Metrics.percentile in
-  let a_c, v_c = time_evals (mk_uncached true) in
-  let a_s, v_s = time_evals (mk_uncached false) in
-  let verdicts_agree =
-    List.for_all2
-      (fun x y ->
-        match (x, y) with
-        | Logic.Subsumption.Covered w1, Logic.Subsumption.Covered w2 ->
-            Logic.Substitution.compare w1 w2 = 0
-        | Logic.Subsumption.Blocked i, Logic.Subsumption.Blocked j -> i = j
-        | _ -> false)
-      v_c v_s
-  in
   let p50_c = pct a_c 0.50 and p95_c = pct a_c 0.95 in
   let p50_s = pct a_s 0.50 and p95_s = pct a_s 0.95 in
   Fmt.pr "per-eval latency over %d evaluations (%d candidates x %d examples):@."
     (Array.length a_c) (List.length candidates) (List.length examples);
   Fmt.pr "compiled : p50 %8.1fus  p95 %8.1fus@." (1e6 *. p50_c) (1e6 *. p95_c);
-  Fmt.pr "symbolic : p50 %8.1fus  p95 %8.1fus@." (1e6 *. p50_s) (1e6 *. p95_s);
+  Fmt.pr "oracle   : p50 %8.1fus  p95 %8.1fus@." (1e6 *. p50_s) (1e6 *. p95_s);
   Fmt.pr "speedup  : p50 %7.2fx   p95 %7.2fx; verdicts agree on every pair: %s@."
     (p50_s /. Float.max p50_c 1e-9)
     (p95_s /. Float.max p95_c 1e-9)
     (if verdicts_agree then "YES" else "NO -- SOUNDNESS BUG");
   Bench_json.record "coverage"
-    [ ("uw.compiled_s", Bench_json.F tc);
-      ("uw.symbolic_s", Bench_json.F ts);
-      ("uw.compiled_wall_speedup", Bench_json.F (ts /. tc));
-      ("uw.compiled_identical_on_vs_off", Bench_json.B compiled_identical);
-      ("uw.compiled_identical_pool1", Bench_json.B compiled_identical_pool);
-      ("uw.compiled_verdicts_agree", Bench_json.B verdicts_agree);
+    [ ("uw.compiled_verdicts_agree", Bench_json.B verdicts_agree);
       ("uw.eval_count", Bench_json.I (Array.length a_c));
       ("uw.eval_p50_compiled_s", Bench_json.F p50_c);
       ("uw.eval_p95_compiled_s", Bench_json.F p95_c);
@@ -909,27 +911,7 @@ let scaling () =
   let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
   let examples = positives @ negatives in
   Learning.Coverage.warm cov examples;
-  (* Candidate set: ARMG generalization chains from a few seeds, exactly
-     what a beam step evaluates. *)
-  let candidates = ref [] in
-  List.iter
-    (fun seed ->
-      let c =
-        ref (Learning.Bottom_clause.build d.Dataset.db d.Dataset.manual_bias
-               ~rng ~example:seed)
-      in
-      candidates := !c :: !candidates;
-      List.iteri
-        (fun i e ->
-          if i mod 3 = 0 then
-            match Learning.Armg.generalize cov !c ~example:e with
-            | Some c' ->
-                c := c';
-                candidates := c' :: !candidates
-            | None -> ())
-        positives)
-    (Logic.Util.take 4 positives);
-  let candidates = !candidates in
+  let candidates = armg_candidates d cov ~rng in
   Fmt.pr "workload: %d candidates x %d examples per evaluation pass@."
     (List.length candidates) (List.length examples);
   let eval_all pool =
@@ -1325,13 +1307,11 @@ let micro () =
   let ground = Learning.Coverage.ground_of cov example in
   let subsumption_tests =
     [
-      Test.make ~name:"subsume-backtracking"
-        (Staged.stage (fun () -> ignore (Logic.Subsumption.subsumes gold ground)));
-      Test.make ~name:"subsume-frontier"
+      Test.make ~name:"subsume-compiled"
         (Staged.stage (fun () ->
              ignore
-               (Logic.Subsumption.covers_ground
-                  ~subst:Logic.Substitution.empty gold ground)));
+               (Learning.Eval_plan.eval (Learning.Coverage.plans cov) gold
+                  ground)));
     ]
   in
   let flight = Relational.Database.find (generate "flt").Dataset.db "flight" in

@@ -116,14 +116,12 @@ let kill_after_arg =
   in
   Arg.(value & opt (some int) None & info [ "kill-after-clause" ] ~docv:"K" ~doc)
 
-let config ?(coverage_cache = true) ?(compiled_eval = true) ?(pruning = true)
-    ~strategy ~timeout () =
+let config ?(coverage_cache = true) ?(pruning = true) ~strategy ~timeout () =
   {
     Autobias.default_config with
     strategy = Sampling.Strategy.of_string strategy;
     timeout = Some timeout;
     coverage_cache;
-    compiled_eval;
     pruning;
   }
 
@@ -216,16 +214,6 @@ let no_cache_arg =
   in
   Arg.(value & flag & info [ "no-coverage-cache" ] ~doc)
 
-let no_compiled_arg =
-  let doc =
-    "Fall back to the symbolic frontier evaluator instead of the int-coded \
-     compiled kernel (escape hatch / A/B baseline). The compiled engine is \
-     bit-identical — same verdicts, witnesses and truncation accounting — \
-     so the learned definition does not change; only the evaluation speed \
-     does."
-  in
-  Arg.(value & flag & info [ "no-compiled-eval" ] ~doc)
-
 let no_prune_arg =
   let doc =
     "Disable the failure-constraint pruning store (escape hatch / A/B \
@@ -280,7 +268,7 @@ let with_resources ~seed ~deadline ~domains ~chaos ~chaos_layers ~chaos_kill k =
     | Some _ as inj -> inj
     | None ->
         Option.map
-          (fun p -> Parallel.Fault.create ~p_fault:p ?p_kill:chaos_kill ~seed ())
+          (fun p -> Chaos.create ~p_fault:p ?p_kill:chaos_kill ~seed ())
           chaos
   in
   match (domains, fault) with
@@ -398,7 +386,7 @@ let load_definition path =
 let learn_cmd =
   let run dataset_name method_name strategy scale seed timeout deadline domains
       chaos chaos_layers chaos_kill checkpoint checkpoint_every resume
-      kill_after no_cache no_compiled no_prune cv show_bias output trace events
+      kill_after no_cache no_prune cv show_bias output trace events
       funnel metrics =
     let dataset = dataset_of_name ~scale ~seed dataset_name in
     let method_ = Autobias.method_of_string method_name in
@@ -424,8 +412,8 @@ let learn_cmd =
     (* --kill-after-clause cancels through the budget, which
        [with_resources] now always provides (signal handling needs it). *)
     let config =
-      { (config ~coverage_cache:(not no_cache) ~compiled_eval:(not no_compiled)
-           ~pruning:(not no_prune) ~strategy ~timeout ())
+      { (config ~coverage_cache:(not no_cache) ~pruning:(not no_prune)
+           ~strategy ~timeout ())
         with budget; pool }
     in
     let note_resilience () =
@@ -571,7 +559,7 @@ let learn_cmd =
       const run $ dataset_arg $ method_arg $ strategy_arg $ scale_arg $ seed_arg
       $ timeout_arg $ deadline_arg $ domains_arg $ chaos_arg $ chaos_layers_arg
       $ chaos_kill_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ kill_after_arg $ no_cache_arg $ no_compiled_arg $ no_prune_arg $ cv_arg
+      $ kill_after_arg $ no_cache_arg $ no_prune_arg $ cv_arg
       $ show_bias_arg
       $ output_arg $ trace_arg $ events_arg $ funnel_arg $ metrics_arg)
 

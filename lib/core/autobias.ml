@@ -53,22 +53,15 @@ type config = {
   constant_threshold : Discovery.Generate.threshold;
   ind_max_error : float;  (** α for approximate INDs *)
   use_approximate_inds : bool;  (** ablation knob; the paper always uses them *)
-  subsumption : Logic.Subsumption.config;
   coverage_cache : bool;
       (** memoize coverage verdicts in the scoring context (default [true]);
           verdicts are pure, so results are identical either way —
           [false] ([--no-coverage-cache]) exists for A/B measurement *)
-  compiled_eval : bool;
-      (** evaluate coverage through the int-coded compiled kernel (default
-          [true]); bit-identical to the symbolic frontier engine —
-          [false] ([--no-compiled-eval]) is the escape hatch / A/B baseline *)
   pruning : bool;
       (** learn failure constraints from rejected candidates and probe them
           before evaluating (default [true]); verdict-preserving, so the
           learned definition is bit-identical either way — [false]
-          ([--no-prune]) is the escape hatch / A/B baseline. Only active
-          together with [compiled_eval] (signatures are compiled-key
-          prefixes). *)
+          ([--no-prune]) is the escape hatch / A/B baseline *)
   budget : Budget.t option;
       (** run governance: cancelling it stops any learning entry point
           cooperatively; its counters aggregate across folds. Each run still
@@ -102,9 +95,7 @@ let default_config =
     constant_threshold = Discovery.Generate.Relative 0.18;
     ind_max_error = 0.5;
     use_approximate_inds = true;
-    subsumption = Logic.Subsumption.default_config;
     coverage_cache = true;
-    compiled_eval = true;
     pruning = true;
     budget = None;
     pool = None;
@@ -183,7 +174,6 @@ let bc_config config =
 let learn_config config =
   {
     Learning.Learn.bc = bc_config config;
-    subsumption = config.subsumption;
     beam_width = config.beam_width;
     generalization_sample = config.generalization_sample;
     max_beam_steps = 8;
@@ -216,9 +206,8 @@ let foil_config config =
 (** [coverage_context config dataset bias] builds the coverage-testing
     context (ground bottom clauses are cached inside it). *)
 let coverage_context config (dataset : Datasets.Dataset.t) bias ~rng =
-  Learning.Coverage.create ~sub_config:config.subsumption
-    ~bc_config:(bc_config config) ~use_cache:config.coverage_cache
-    ~use_compiled:config.compiled_eval ~use_pruning:config.pruning
+  Learning.Coverage.create ~bc_config:(bc_config config)
+    ~use_cache:config.coverage_cache ~use_pruning:config.pruning
     dataset.Datasets.Dataset.db bias ~rng
 
 type run_result = {

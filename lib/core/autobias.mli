@@ -34,21 +34,15 @@ type config = {
   constant_threshold : Discovery.Generate.threshold;  (** paper: Relative 0.18 *)
   ind_max_error : float;  (** α for approximate INDs (paper: 0.5) *)
   use_approximate_inds : bool;  (** ablation knob; the paper always uses them *)
-  subsumption : Logic.Subsumption.config;
   coverage_cache : bool;
       (** memoize coverage verdicts (default [true]); verdicts are pure, so
           learned definitions are identical either way — [false] exists for
           A/B measurement ([--no-coverage-cache]) *)
-  compiled_eval : bool;
-      (** evaluate coverage through the int-coded compiled kernel (default
-          [true]); bit-identical to the symbolic engine — [false]
-          ([--no-compiled-eval]) is the escape hatch / A/B baseline *)
   pruning : bool;
       (** learn failure constraints from rejected candidates and probe them
           before evaluating (default [true]); verdict-preserving, so learned
           definitions are bit-identical either way — [false] ([--no-prune])
-          is the escape hatch / A/B baseline. Only active together with
-          [compiled_eval]. *)
+          is the escape hatch / A/B baseline *)
   budget : Budget.t option;
       (** run governance (deadline + cancellation + degradation counters):
           cancelling it stops any learning entry point cooperatively; each

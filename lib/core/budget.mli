@@ -6,8 +6,7 @@
 
     A [Budget.t] is cheap to share: the cancellation flag and the counters
     are atomics, safe to touch from any domain (pool workers check the flag
-    between jobs; {!Subsumption} and {!Coverage} bump counters from inside
-    coverage tests). {!scope} derives a child budget with a tighter deadline
+    between jobs; {!Coverage} bumps counters from inside coverage tests). {!scope} derives a child budget with a tighter deadline
     that still shares the parent's flag and counters — one token cancels a
     whole cross-validation run, while each fold keeps its own per-fold
     deadline. *)
@@ -89,11 +88,7 @@ val sleepf : ?budget:t -> ?stop:(unit -> bool) -> float -> unit
     silently under-approximating. *)
 
 type event =
-  | Subsumption_try  (** one budgeted backtracking attempt started *)
-  | Subsumption_restart  (** a randomized restart after budget exhaustion *)
-  | Subsumption_exhausted
-      (** every restart ran out of nodes: the test {e gave up} (answered
-          "no" without proving it) rather than proved no subsumption *)
+  | Subsumption_try  (** one real (uncached, unpruned) coverage evaluation *)
   | Coverage_truncated
       (** a substitution frontier overflowed its cap and was subsampled *)
   | Coverage_memo_hit
@@ -141,8 +136,6 @@ val add_assoc : t -> (string * int) list -> unit
 
 type counters = {
   subsumption_tries : int;
-  subsumption_restarts : int;
-  subsumption_exhausted : int;
   coverage_truncated : int;
   coverage_memo_hits : int;
   coverage_memo_misses : int;

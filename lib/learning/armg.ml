@@ -7,41 +7,27 @@
     drops body literals that lost head-connectedness.
 
     The implementation is incremental: a single left-to-right sweep of the
-    substitution-set frontier ({!Logic.Subsumption.step_frontier}). When the
-    frontier dies at literal [L_i], the prefix before it is untouched by the
-    removal, so the sweep resumes at position [i] with the saved frontier —
-    the whole operator costs one frontier step per surviving literal plus
-    one per removal, instead of a full subsumption test per removal. *)
+    substitution-set frontier ({!Logic.Compiled.generalize}, the sweep
+    coverage testing runs). When the frontier dies at literal [L_i], the
+    prefix before it is untouched by the removal, so the sweep resumes at
+    position [i] with the saved frontier — the whole operator costs one
+    frontier step per surviving literal plus one per removal, instead of a
+    full subsumption test per removal. *)
 
 (** [generalize cov clause ~example] applies ARMG. Returns [None] when the
     clause head cannot be bound to [example] (arity/constant mismatch) —
     such an example cannot be covered by any generalization of [clause]. *)
 let generalize cov clause ~example =
+  (* The head check comes first so a head-blocked example never builds a
+     ground BC. *)
   match Coverage.head_subst clause example with
   | None -> None
-  | Some subst ->
-      let g = Coverage.ground_of cov example in
-      let body = Array.of_list (Logic.Clause.body clause) in
-      let n = Array.length body in
-      let kept = Array.make n true in
-      (* One sweep: removing a blocking atom leaves the frontier of the
-         surviving prefix unchanged, so the sweep simply carries it on to
-         the next literal. *)
-      let frontier = ref [ subst ] and frontier_n = ref 1 in
-      for i = 0 to n - 1 do
-        match
-          Logic.Subsumption.step_frontier_n g !frontier
-            ~frontier_n:!frontier_n body.(i)
-        with
-        | [], _ -> kept.(i) <- false
-        | next, next_n ->
-            frontier := next;
-            frontier_n := next_n
-      done;
-      let surviving =
-        Array.to_list body
-        |> List.filteri (fun j _ -> kept.(j))
-      in
-      Some
-        (Logic.Clause.prune_head_connected
-           (Logic.Clause.make (Logic.Clause.head clause) surviving))
+  | Some _ ->
+      Coverage.ground_of cov example
+      |> Eval_plan.generalize (Coverage.plans cov) clause
+      |> Option.map (fun kept ->
+             let surviving =
+               List.filteri (fun j _ -> kept.(j)) (Logic.Clause.body clause)
+             in
+             Logic.Clause.prune_head_connected
+               (Logic.Clause.make (Logic.Clause.head clause) surviving))

@@ -2,8 +2,9 @@
     repeatedly remove the {e blocking atom} — the least-indexed body literal
     whose prefix fails to cover the example — until the example is covered,
     then drop literals that lost head-connectedness. Implemented as a single
-    incremental frontier sweep: one {!Logic.Subsumption.step_frontier} per
-    surviving literal. *)
+    incremental frontier sweep on the compiled kernel
+    ({!Logic.Compiled.generalize}), with the clause's plan and the example's
+    ground BC taken from [cov]'s caches. *)
 
 (** [generalize cov clause ~example] applies ARMG. [None] when the clause
     head cannot be bound to [example]. The result covers [example]

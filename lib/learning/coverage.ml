@@ -33,11 +33,11 @@ let m_ground_bcs = Obs.Metrics.counter "coverage.ground_bcs_built"
    Coverage verdicts are pure: [eval] is a function of (clause, ground BC)
    and the ground BC of an example is a pure function of (master seed,
    example). The memo therefore caches verdicts keyed by (clause key,
-   example) — the clause key is the compiled plan's canonical int-id array
-   (or the printed clause under [--no-compiled-eval]); both are injective
-   on the clauses the learner builds (ARMG and reduction never rename
-   variables) — and a cached verdict is bit-identical to a recomputed one,
-   so enabling the cache cannot change any learned definition.
+   example) — the clause key is the compiled plan's canonical int-id array,
+   injective exactly where the printed clause is (ARMG and reduction never
+   rename variables) — and a cached verdict is bit-identical to a
+   recomputed one, so enabling the cache cannot change any learned
+   definition.
 
    The table is {e lock-striped}: the domain pool hammers it from every
    worker during beam evaluation, and a single mutex would serialize the
@@ -51,18 +51,9 @@ let m_ground_bcs = Obs.Metrics.counter "coverage.ground_bcs_built"
 let memo_stripes = 16
 let memo_stripe_cap = 1 lsl 14  (** per stripe; ~256k entries in total *)
 
-(* The memo key: the compiled path keys by the plan's canonical int-id
-   array (injective exactly where the printed clause is, with no printing
-   per test); the symbolic escape hatch keeps the printed key. Both are
-   injective on learner clauses, so the two modes see identical hit/miss
-   traffic — the parity the cache A/B test asserts. *)
-type memo_key =
-  | K_ids of int array  (** compiled: canonical plan key *)
-  | K_str of string  (** symbolic: printed clause *)
-
 type memo = {
   tables :
-    (memo_key * Relational.Relation.tuple, Logic.Subsumption.verdict) Hashtbl.t
+    (int array * Relational.Relation.tuple, Logic.Compiled.verdict) Hashtbl.t
     array;
   locks : Mutex.t array;
   hits : int Atomic.t;
@@ -71,45 +62,32 @@ type memo = {
 
 type cache_stats = { hits : int; misses : int; entries : int }
 
-(* Both representations of a ground BC are built together (outside the
-   cache lock, like the symbolic one always was): the compiled form drives
-   coverage, the symbolic form stays authoritative for ARMG's frontier
-   sweep and the [ground_of] API. *)
-type ground_entry = {
-  sym : Logic.Subsumption.ground;
-  comp : Logic.Compiled.ground option;  (** [Some] iff compiled eval is on *)
-}
-
 type t = {
   db : Relational.Database.t;
   bias : Bias.Language.t;
   bc_config : Bottom_clause.config;
-  sub_config : Logic.Subsumption.config;
   seed_base : int;  (** master seed for per-example ground-BC RNGs *)
-  grounds : (Relational.Relation.tuple, ground_entry) Hashtbl.t;
+  grounds : (Relational.Relation.tuple, Logic.Compiled.ground) Hashtbl.t;
   lock : Mutex.t;  (** guards [grounds] *)
   memo : memo option;  (** [None] = caching disabled ([--no-coverage-cache]) *)
-  compiled : Eval_plan.t option;
-      (** [None] = symbolic evaluation ([--no-compiled-eval]); the compiled
-          engine is bit-identical, so the switch never changes results *)
+  plans : Eval_plan.t;
+      (** symbol table and plan cache every ground and clause is compiled
+          against *)
   prune : Prune.t option;
-      (** failure-constraint store ([None] = [--no-prune], or symbolic
-          evaluation — signatures are compiled-key prefixes); a probe hit
+      (** failure-constraint store ([None] = [--no-prune]); a probe hit
           returns the exact verdict evaluation would compute, so pruning
-          never changes results either *)
+          never changes results *)
   budget : Budget.t option;
       (** sink for degradation counters (frontier truncations, memo
           hits/misses); never changes any coverage verdict *)
 }
 
-let create ?(sub_config = Logic.Subsumption.default_config)
-    ?(bc_config = Bottom_clause.default_config) ?budget ?(use_cache = true)
-    ?(use_compiled = true) ?(use_pruning = true) db bias ~rng =
+let create ?(bc_config = Bottom_clause.default_config) ?budget
+    ?(use_cache = true) ?(use_pruning = true) db bias ~rng =
   {
     db;
     bias;
     bc_config;
-    sub_config;
     seed_base = Random.State.bits rng;
     grounds = Hashtbl.create 256;
     lock = Mutex.create ();
@@ -123,13 +101,12 @@ let create ?(sub_config = Logic.Subsumption.default_config)
              misses = Atomic.make 0;
            }
        else None);
-    compiled = (if use_compiled then Some (Eval_plan.create ()) else None);
-    prune = (if use_pruning && use_compiled then Some (Prune.create ()) else None);
+    plans = Eval_plan.create ();
+    prune = (if use_pruning then Some (Prune.create ()) else None);
     budget;
   }
 
 let cache_enabled t = t.memo <> None
-let compiled_enabled t = t.compiled <> None
 let pruning_enabled t = t.prune <> None
 
 type prune_stats = Prune.stats = { probes : int; hits : int; constraints : int }
@@ -173,7 +150,9 @@ let example_hash (example : Relational.Relation.tuple) =
 let example_rng t example =
   Random.State.make [| t.seed_base; example_hash example |]
 
-let ground_entry_of t example =
+(** [ground_of t example] is the cached compiled ground bottom clause of
+    [example]. *)
+let ground_of t example =
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.grounds example with
   | Some g ->
@@ -188,16 +167,8 @@ let ground_entry_of t example =
               Bottom_clause.build_ground ~config:t.bc_config t.db t.bias
                 ~rng:(example_rng t example) ~example
             in
-            let body = Logic.Clause.body clause in
-            {
-              sym = Logic.Subsumption.ground_of_literals body;
-              comp =
-                Option.map
-                  (fun ep ->
-                    Logic.Compiled.compile_ground (Eval_plan.symtab ep)
-                      ~example body)
-                  t.compiled;
-            })
+            Logic.Compiled.compile_ground (Eval_plan.symtab t.plans) ~example
+              (Logic.Clause.body clause))
       in
       Mutex.lock t.lock;
       let g =
@@ -210,8 +181,7 @@ let ground_entry_of t example =
       Mutex.unlock t.lock;
       g
 
-(** [ground_of t example] is the cached ground bottom clause of [example]. *)
-let ground_of t example = (ground_entry_of t example).sym
+let plans t = t.plans
 
 (* Batch entry points run inside a span carrying the batch size and the memo
    traffic the batch generated (hit/miss deltas read from the memo's own
@@ -271,18 +241,13 @@ let eval_uncached t clause example =
   Budget.hit_opt t.budget Budget.Subsumption_try;
   Obs.Metrics.bump m_tests;
   Obs.Metrics.time m_eval (fun () ->
-      (* The head check runs symbolically in both modes: it is tiny, and
-         keeping it ahead of [ground_entry_of] means a head-blocked example
-         never triggers a ground-BC build under either engine. *)
+      (* The symbolic head check is tiny, and keeping it ahead of
+         [ground_of] means a head-blocked example never triggers a
+         ground-BC build. *)
       match head_subst clause example with
-      | None -> Logic.Subsumption.Blocked 0
-      | Some subst -> (
-          let ge = ground_entry_of t example in
-          match (t.compiled, ge.comp) with
-          | Some ep, Some cg -> Eval_plan.eval ?budget:t.budget ep clause cg
-          | _ ->
-              Logic.Subsumption.eval_prefix ?budget:t.budget ~subst clause
-                ge.sym))
+      | None -> Logic.Compiled.Blocked 0
+      | Some _ ->
+          Eval_plan.eval ?budget:t.budget t.plans clause (ground_of t example))
 
 (* One verdict, cheapest honest route: probe the failure-constraint store
    first (a trie walk instead of a frontier evaluation — a hit returns the
@@ -290,45 +255,40 @@ let eval_uncached t clause example =
    evaluator, and turn any fresh blocked verdict into a stored constraint
    for the next candidate that shares the failing prefix. *)
 let compute t clause example =
-  match (t.prune, t.compiled) with
-  | Some ps, Some ep -> (
-      let key = Eval_plan.key ep clause in
+  match t.prune with
+  | Some ps -> (
+      let key = Eval_plan.key t.plans clause in
       match Prune.probe ps ~example ~key with
-      | Some i -> Logic.Subsumption.Blocked i
+      | Some i -> Logic.Compiled.Blocked i
       | None ->
           let v = eval_uncached t clause example in
           (match v with
-          | Logic.Subsumption.Blocked i ->
+          | Logic.Compiled.Blocked i ->
               if Prune.learn ps ~example ~key ~blocked:i then
                 Budget.hit_opt t.budget Budget.Constraint_learned
-          | Logic.Subsumption.Covered _ -> ());
+          | Logic.Compiled.Covered _ -> ());
           v)
-  | _ -> eval_uncached t clause example
+  | None -> eval_uncached t clause example
 
 (** [probe_pruned t clause example] — the verdict the failure-constraint
     store already knows for [(clause, example)], if any (always a
     [Blocked _]). Probe-only: never evaluates, never stores. *)
 let probe_pruned t clause example =
-  match (t.prune, t.compiled) with
-  | Some ps, Some ep -> (
-      match Prune.probe ps ~example ~key:(Eval_plan.key ep clause) with
-      | Some i -> Some (Logic.Subsumption.Blocked i)
+  match t.prune with
+  | Some ps -> (
+      match Prune.probe ps ~example ~key:(Eval_plan.key t.plans clause) with
+      | Some i -> Some (Logic.Compiled.Blocked i)
       | None -> None)
-  | _ -> None
-
-(** [blocking_key t clause i] — the canonical compiled key segment of the
-    literal that [Blocked i] points at (the head for [i = 0]); [None] under
-    [--no-compiled-eval]. The same segment arithmetic the prune store's
-    failure signatures use. *)
-let blocking_key t clause i =
-  match t.compiled with
-  | Some ep ->
-      let key = Eval_plan.key ep clause in
-      Some (Logic.Compiled.key_segment key ~index:i)
   | None -> None
 
+(** [blocking_key t clause i] — the canonical compiled key segment of the
+    literal that [Blocked i] points at (the head for [i = 0]). The same
+    segment arithmetic the prune store's failure signatures use. *)
+let blocking_key t clause i =
+  Logic.Compiled.key_segment (Eval_plan.key t.plans clause) ~index:i
+
 (** [eval_src t clause example] evaluates [clause] against [example] with
-    the substitution-set prefix evaluator: [Covered w] with a witness, or
+    the compiled frontier sweep: [Covered w] with a witness, or
     [Blocked i] with the 1-based index of the blocking body literal — the
     primitive ARMG needs (Section 2.3.2). [Blocked 0] means the head itself
     cannot be bound to the example. Verdicts are served from the memo when
@@ -343,12 +303,7 @@ let eval_src t clause example =
      identical, so chaos here degrades throughput, never correctness. *)
   | Some _ when Chaos.fires "memo" -> (compute t clause example, false)
   | Some m -> (
-      let clause_key =
-        match t.compiled with
-        | Some ep -> K_ids (Eval_plan.key ep clause)
-        | None -> K_str (Logic.Clause.to_string clause)
-      in
-      let key = (clause_key, example) in
+      let key = (Eval_plan.key t.plans clause, example) in
       let s = Hashtbl.hash key mod memo_stripes in
       let lock = m.locks.(s) and tbl = m.tables.(s) in
       Mutex.lock lock;
@@ -374,26 +329,17 @@ let eval t clause example = fst (eval_src t clause example)
 (** [covers t clause example] tests whether [clause] covers [example]. *)
 let covers t clause example =
   match eval t clause example with
-  | Logic.Subsumption.Covered _ -> true
-  | Logic.Subsumption.Blocked _ -> false
+  | Logic.Compiled.Covered _ -> true
+  | Logic.Compiled.Blocked _ -> false
 
 (** [covers_src t clause example] — {!covers} plus whether the verdict came
     out of the verdict memo. *)
 let covers_src t clause example =
   let v, memo = eval_src t clause example in
   ((match v with
-    | Logic.Subsumption.Covered _ -> true
-    | Logic.Subsumption.Blocked _ -> false),
+    | Logic.Compiled.Covered _ -> true
+    | Logic.Compiled.Blocked _ -> false),
    memo)
-
-(** [covers_prefix t clause k example] is [covers] restricted to the first
-    [k] body literals. *)
-let covers_prefix t clause k example =
-  let prefix =
-    Logic.Clause.make (Logic.Clause.head clause)
-      (Logic.Util.take k (Logic.Clause.body clause))
-  in
-  covers t prefix example
 
 (** [covered t clause examples] is the sublist of [examples] covered by
     [clause]. *)
@@ -430,19 +376,18 @@ let definition_covers t def example =
    cannot change a verdict, so resumed runs stay bit-identical. *)
 
 let export_constraints t =
-  match (t.prune, t.compiled) with
-  | Some ps, Some ep ->
-      Marshal.to_string (Prune.export ps (Eval_plan.symtab ep)) []
-  | _ -> ""
+  match t.prune with
+  | Some ps -> Marshal.to_string (Prune.export ps (Eval_plan.symtab t.plans)) []
+  | None -> ""
 
 let import_constraints t s =
   if String.length s > 0 then
-    match (t.prune, t.compiled) with
-    | Some ps, Some ep -> (
+    match t.prune with
+    | Some ps -> (
         match (Marshal.from_string s 0 : Prune.exported) with
-        | exported -> Prune.import ps (Eval_plan.symtab ep) exported
+        | exported -> Prune.import ps (Eval_plan.symtab t.plans) exported
         (* A checkpoint from a binary with a different payload layout: the
            version gate should have caught it, but constraints are a pure
            accelerant, so the safe degradation is to start cold. *)
         | exception _ -> ())
-    | _ -> ()
+    | None -> ()

@@ -16,28 +16,22 @@ type t
     entries currently stored. All zero when caching is disabled. *)
 type cache_stats = { hits : int; misses : int; entries : int }
 
-(** [?budget] is a sink for degradation counters (frontier truncations, memo
+(** Evaluation runs through the int-coded kernel ({!Logic.Compiled}).
+    [?budget] is a sink for degradation counters (frontier truncations, memo
     hits/misses); it never changes any coverage verdict. [?use_cache]
     (default [true]) enables the lock-striped verdict memo: verdicts are pure
     functions of (clause, example) given the captured seed, so caching is
     invisible to results — [false] exists for A/B measurement
-    ([--no-coverage-cache]). [?use_compiled] (default [true]) evaluates
-    through the int-coded compiled kernel ({!Logic.Compiled}), which is
-    bit-identical to the symbolic frontier engine — [false]
-    ([--no-compiled-eval]) is the escape hatch / A/B baseline.
-    [?use_pruning] (default [true]) arms the failure-constraint store
-    ({!Prune}): blocked verdicts become prefix signatures that answer later
-    evaluations without running the frontier. A probe hit returns the exact
-    verdict evaluation would compute, so pruning is also invisible to
-    results — [false] ([--no-prune]) is the A/B escape hatch. Pruning
-    requires the compiled engine (signatures are compiled-key prefixes) and
-    is silently off under [use_compiled:false]. *)
+    ([--no-coverage-cache]). [?use_pruning] (default [true]) arms the
+    failure-constraint store ({!Prune}): blocked verdicts become prefix
+    signatures that answer later evaluations without running the frontier.
+    A probe hit returns the exact verdict evaluation would compute, so
+    pruning is also invisible to results — [false] ([--no-prune]) is the
+    A/B escape hatch. *)
 val create :
-  ?sub_config:Logic.Subsumption.config ->
   ?bc_config:Bottom_clause.config ->
   ?budget:Budget.t ->
   ?use_cache:bool ->
-  ?use_compiled:bool ->
   ?use_pruning:bool ->
   Relational.Database.t ->
   Bias.Language.t ->
@@ -45,7 +39,6 @@ val create :
   t
 
 val cache_enabled : t -> bool
-val compiled_enabled : t -> bool
 val pruning_enabled : t -> bool
 
 (** Failure-constraint store snapshot (all zero when pruning is off). *)
@@ -68,8 +61,13 @@ val with_budget : t -> Budget.t -> t
 val bias : t -> Bias.Language.t
 val database : t -> Relational.Database.t
 
-(** [ground_of t example] — the cached ground bottom clause of [example]. *)
-val ground_of : t -> Relational.Relation.tuple -> Logic.Subsumption.ground
+(** [ground_of t example] — the cached ground bottom clause of [example],
+    compiled against {!plans}. *)
+val ground_of : t -> Relational.Relation.tuple -> Logic.Compiled.ground
+
+(** [plans t] — the symbol table and plan cache the context compiles
+    against: what {!Armg} sweeps with. *)
+val plans : t -> Eval_plan.t
 
 (** [warm ?pool t examples] precomputes ground BCs (the paper builds them
     once, up front), fanning construction across [pool] when given — the
@@ -86,7 +84,7 @@ val head_subst :
     with the 1-based blocking body literal; [Blocked 0] means the head
     itself cannot bind. *)
 val eval :
-  t -> Logic.Clause.t -> Relational.Relation.tuple -> Logic.Subsumption.verdict
+  t -> Logic.Clause.t -> Relational.Relation.tuple -> Logic.Compiled.verdict
 
 (** [probe_pruned t clause example] — the verdict the failure-constraint
     store already knows for the pair, if any (always [Blocked _]).
@@ -96,12 +94,12 @@ val probe_pruned :
   t ->
   Logic.Clause.t ->
   Relational.Relation.tuple ->
-  Logic.Subsumption.verdict option
+  Logic.Compiled.verdict option
 
 (** [blocking_key t clause i] — canonical compiled key segment of the
-    literal a [Blocked i] verdict points at (the head for [i = 0]); [None]
-    under [--no-compiled-eval]. Shared with {!Explain.Not_covered}. *)
-val blocking_key : t -> Logic.Clause.t -> int -> int array option
+    literal a [Blocked i] verdict points at (the head for [i = 0]). Shared
+    with {!Explain.Not_covered}. *)
+val blocking_key : t -> Logic.Clause.t -> int -> int array
 
 (** [export_constraints t] — the failure-constraint store as an opaque
     checkpoint payload ([""] when pruning is off). *)
@@ -120,10 +118,6 @@ val covers : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool
     the flag only feeds {!Learn}'s search-funnel accounting, which wants to
     know whether a candidate cost any real subsumption work. *)
 val covers_src : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool * bool
-
-(** [covers_prefix t clause k example] — [covers] restricted to the first
-    [k] body literals. *)
-val covers_prefix : t -> Logic.Clause.t -> int -> Relational.Relation.tuple -> bool
 
 (** [covered t clause examples] — the covered sublist. *)
 val covered :

@@ -10,7 +10,11 @@
 
     Scratch arenas are per-domain via [Domain.DLS]: pool workers evaluate
     concurrently, and sharing one arena would race; domain-local arenas
-    keep the pool path allocation-free and lock-free. *)
+    keep the pool path allocation-free and lock-free. One key serves every
+    context: a DLS slot is never freed, so a key per context would keep
+    each context's arena reachable from every domain that evaluated on it.
+    Sharing is safe because an arena re-sizes per plan and no domain runs
+    two sweeps at once. *)
 
 let m_compile = Obs.Metrics.histogram "coverage.compile_s"
 let m_compiled = Obs.Metrics.counter "coverage.plans_compiled"
@@ -32,15 +36,15 @@ type t = {
   symtab : Logic.Compiled.Symtab.t;
   plans : Logic.Compiled.plan Clause_tbl.t;
   lock : Mutex.t;  (** guards [plans] *)
-  scratch : Logic.Compiled.scratch Domain.DLS.key;
 }
+
+let scratch = Domain.DLS.new_key Logic.Compiled.make_scratch
 
 let create () =
   {
     symtab = Logic.Compiled.Symtab.create ();
     plans = Clause_tbl.create 256;
     lock = Mutex.create ();
-    scratch = Domain.DLS.new_key Logic.Compiled.make_scratch;
   }
 
 let symtab t = t.symtab
@@ -78,10 +82,15 @@ let plan_for t clause =
 (** [key t clause] — the canonical int-id memo key of [clause]. *)
 let key t clause = Logic.Compiled.key (plan_for t clause)
 
-(** [eval ?cap ?budget t clause g] — compiled evaluation of [clause]
-    against compiled ground [g], on this domain's scratch arena.
-    Bit-identical to [Subsumption.eval_prefix] from the head substitution
-    ([Blocked 0] when the head cannot bind [g]'s example). *)
-let eval ?cap ?budget t clause g =
-  let scratch = Domain.DLS.get t.scratch in
-  Logic.Compiled.eval ?cap ?budget scratch t.symtab (plan_for t clause) g
+(** [eval ?budget t clause g] — compiled evaluation of [clause] against
+    compiled ground [g] ([Blocked 0] when the head cannot bind [g]'s
+    example). *)
+let eval ?budget t clause g =
+  Logic.Compiled.eval ?budget (Domain.DLS.get scratch) t.symtab
+    (plan_for t clause) g
+
+(** [generalize t clause g] — ARMG's kept-literal mask for [clause] on
+    [g]. *)
+let generalize t clause g =
+  Logic.Compiled.generalize (Domain.DLS.get scratch) t.symtab
+    (plan_for t clause) g

@@ -1,5 +1,5 @@
-(** Compiled-evaluation state for a coverage context: symbol table, plan
-    cache (keyed by physical clause identity), and per-domain scratch
+(** Compiled-evaluation state for a coverage context: symbol table and plan
+    cache (keyed by physical clause identity), plus per-domain scratch
     arenas. Safe to share across pool workers. *)
 
 type t
@@ -16,12 +16,16 @@ val plan_for : t -> Logic.Clause.t -> Logic.Compiled.plan
     exactly where [Clause.to_string] is, with no printing. *)
 val key : t -> Logic.Clause.t -> int array
 
-(** [eval ?cap ?budget t clause g] — compiled evaluation on this domain's
-    scratch arena; bit-identical to [Subsumption.eval_prefix]. *)
+(** [eval ?budget t clause g] — {!Logic.Compiled.eval} on this domain's
+    scratch arena. *)
 val eval :
-  ?cap:int ->
   ?budget:Budget.t ->
   t ->
   Logic.Clause.t ->
   Logic.Compiled.ground ->
-  Logic.Subsumption.verdict
+  Logic.Compiled.verdict
+
+(** [generalize t clause g] — {!Logic.Compiled.generalize} (ARMG's
+    kept-literal mask) on this domain's scratch arena. *)
+val generalize :
+  t -> Logic.Clause.t -> Logic.Compiled.ground -> bool array option

@@ -22,18 +22,17 @@ type t =
           (** the paper's blocking atom; [None] when the head itself cannot
               bind to the example *)
       blocking_index : int;  (** 1-based; 0 when the head fails *)
-      blocking_key : int array option;
+      blocking_key : int array;
           (** the failing literal's canonical compiled key segment (the head
               segment when the head fails) — the same int-coding the
-              failure-constraint store's signatures are prefixes of; [None]
-              under [--no-compiled-eval] *)
+              failure-constraint store's signatures are prefixes of *)
     }
 
 (** [explain cov clause example] explains [clause]'s decision on [example],
     using the same evaluation the learner uses. *)
 let explain cov clause example =
   match Coverage.eval cov clause example with
-  | Logic.Subsumption.Covered witness ->
+  | Logic.Compiled.Covered witness ->
       let supports =
         List.map
           (fun literal ->
@@ -41,14 +40,14 @@ let explain cov clause example =
           (Logic.Clause.body clause)
       in
       Covered { witness; supports }
-  | Logic.Subsumption.Blocked 0 ->
+  | Logic.Compiled.Blocked 0 ->
       Not_covered
         {
           blocking = None;
           blocking_index = 0;
           blocking_key = Coverage.blocking_key cov clause 0;
         }
-  | Logic.Subsumption.Blocked i ->
+  | Logic.Compiled.Blocked i ->
       Not_covered
         {
           blocking = List.nth_opt (Logic.Clause.body clause) (i - 1);

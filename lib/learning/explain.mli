@@ -16,13 +16,12 @@ type t =
       blocking : Logic.Literal.t option;
           (** [None] when the head itself cannot bind to the example *)
       blocking_index : int;  (** 1-based; 0 when the head fails *)
-      blocking_key : int array option;
+      blocking_key : int array;
           (** the failing literal's canonical compiled key segment
               ({!Logic.Compiled.key_segment}; the head segment when the head
               fails) — the same int-coding the failure-constraint store's
               signatures use, so explanations and pruning share one code
-              path; [None] under [--no-compiled-eval]. [pp] output is
-              unchanged by this field. *)
+              path. [pp] output is unchanged by this field. *)
     }
 
 (** [explain cov clause example] — the decision, via the learner's own

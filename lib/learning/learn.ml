@@ -35,7 +35,6 @@
 
 type config = {
   bc : Bottom_clause.config;  (** bottom-clause depth/sample/strategy *)
-  subsumption : Logic.Subsumption.config;
   beam_width : int;
   generalization_sample : int;
       (** positives sampled per beam step to drive ARMG (the paper's E+_S) *)
@@ -89,7 +88,6 @@ type config = {
 let default_config =
   {
     bc = Bottom_clause.default_config;
-    subsumption = Logic.Subsumption.default_config;
     beam_width = 3;
     generalization_sample = 8;
     max_beam_steps = 8;

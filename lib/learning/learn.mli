@@ -8,12 +8,11 @@
     search winds down cooperatively — the definition accumulated so far is
     returned, tagged with a {!Budget.degradation} record saying why the run
     ended and which corners were cut (candidates abandoned, beam rounds
-    truncated, subsumption give-ups, …). The legacy [timed_out] flag
+    truncated, coverage frontiers truncated, …). The legacy [timed_out] flag
     mirrors the paper's ">10h" rows. *)
 
 type config = {
   bc : Bottom_clause.config;
-  subsumption : Logic.Subsumption.config;
   beam_width : int;
   generalization_sample : int;
       (** positives sampled per beam step to drive ARMG (the paper's E+_S) *)

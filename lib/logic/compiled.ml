@@ -1,30 +1,37 @@
-(** Clause compilation: an int-coded θ-subsumption kernel for the coverage
-    hot path.
+(** Clause compilation: the int-coded θ-subsumption kernel behind coverage
+    testing (Section 5) and ARMG (Section 2.3.2).
 
-    The symbolic frontier evaluator ({!Subsumption.eval_prefix}) re-walks
-    [Literal.t]/[Term.t] structures through string-keyed hashtables and
-    allocates substitution maps on every extension. Coverage testing runs it
-    millions of times over the same ground bottom clauses, so this module
-    compiles both sides of the test once:
+    Coverage testing and ARMG run the same left-to-right substitution-frontier
+    sweep millions of times over the same ground bottom clauses, so this
+    module compiles both sides of the test once:
 
     - predicate symbols and constants are {e interned} into contiguous int
       ids ({!Symtab}), making every equality test an int comparison;
     - a ground bottom clause is flattened into int arrays with precomputed
       per-predicate and per-(predicate, position, value) adjacency indexes
-      ({!compile_ground}) — the same indexes the symbolic engine builds, but
-      probed without hashing strings or allocating tuple keys per literal;
+      ({!compile_ground}), probed without hashing strings or allocating
+      tuple keys per literal;
     - a candidate clause is compiled into a {!plan}: dense variable
       numbering, int-coded head and body, and a canonical int key that
-      replaces clause printing in the coverage memo;
-    - evaluation runs over reusable {!scratch} arenas — substitutions are
+      keys the coverage memo;
+    - the sweep runs over reusable {!scratch} arenas — substitutions are
       int arrays indexed by dense variable id, frontiers are index arrays
       into a pair of swap banks — so a frontier step is loops over ints with
       no per-step allocation.
 
-    {b Bit-identity.} [eval] replicates {!Subsumption.eval_prefix} exactly —
-    same verdicts, same witnesses, same [Coverage_truncated] budget hits —
-    so the learner's results cannot depend on which engine ran. The
-    invariants that make this work:
+    {b The frontier.} Each body literal extends every frontier substitution
+    by its matches in the ground (fair expansion: each substitution gets an
+    equal share of a [3 × cap] budget), deduplicates frontiers over 8, and
+    keeps at most [cap] substitutions: a rotation below the cap, so a
+    truncated tail gets its turn at the next literal, else a stride-spread
+    sample that preserves binding diversity (a [Coverage_truncated] budget
+    hit — the point where the test under-approximates). {!eval} stops at the
+    first literal whose frontier dies (the {e blocking atom});
+    {!generalize} drops that literal and carries the previous frontier on.
+
+    {b Determinism.} The sweep replicates the symbolic reference engine the
+    tests keep as an oracle — same verdicts, same witnesses, same truncation
+    counts, same ARMG kept literals. The invariants that make this work:
 
     - interning is injective, so id equality ⟺ value equality, and ids are
       {e never ordered}: ordering always goes through [Value.compare] on the
@@ -34,10 +41,9 @@
       set, so [Substitution.compare] (an [Int_map.compare]) reduces to
       lexicographic [Value.compare] over ascending variable id — replicated
       here by assigning dense ids in ascending original-id order;
-    - adjacency buckets preserve the symbolic engine's reverse-insertion
-      order, candidate selection keeps its earliest-position-wins tie rule,
-      and the dedup / rotation / stride-truncation sequence of
-      {!Subsumption.step_frontier} is reproduced case by case. *)
+    - adjacency buckets keep reverse-insertion order, and candidate
+      selection probes the smallest bound-position bucket with the earliest
+      position winning ties. *)
 
 module Value = Relational.Value
 
@@ -138,7 +144,7 @@ type ground = {
   g_args : int array;  (** flattened const ids of every literal *)
   g_by_pred : int array Int_tbl.t;
       (** predicate id → literal indexes, {e reverse} insertion order (the
-          order the symbolic engine's prepend-built buckets iterate in) *)
+          order the reference engine's prepend-built buckets iterate in) *)
   g_adj : int array Adj.t;
       (** (pred, pos, const) → literal indexes, reverse insertion order *)
   g_example : int array;  (** the interned example tuple *)
@@ -183,7 +189,7 @@ let compile_ground tab ~example lits =
       off := !off + Literal.arity l)
     lits;
   g_off.(n) <- !off;
-  (* Array.of_list keeps the prepend-reversed order, matching the symbolic
+  (* Array.of_list keeps the prepend-reversed order, matching the reference
      engine's bucket iteration order exactly. *)
   let g_by_pred = Int_tbl.create (Int_tbl.length by_pred) in
   Int_tbl.iter (fun p b -> Int_tbl.replace g_by_pred p (Array.of_list b)) by_pred;
@@ -376,7 +382,10 @@ let sort_ord ord aux n cmp =
         incr j;
         incr k
       done;
-      Array.blit aux !lo ord !lo (hi - !lo);
+      (* not [Array.blit]: see the frontier copy in [sweep] *)
+      for i = !lo to hi - 1 do
+        ord.(i) <- aux.(i)
+      done;
       lo := !lo + (2 * !width)
     done;
     width := 2 * !width
@@ -386,101 +395,125 @@ let empty_bucket = [||]
 
 (** {1 Evaluation} *)
 
-(** [eval ?cap ?budget scratch tab plan g] replicates
-    {!Subsumption.eval_prefix} over the compiled representations: same
-    verdict, same witness, same [Coverage_truncated] budget hits. [Blocked
-    0] means the head cannot bind to the ground's example tuple. *)
-let eval ?(cap = Subsumption.default_frontier_cap) ?budget scratch tab plan g =
-  Obs.Trace.span ~cat:"subsumption" "eval_compiled" @@ fun () ->
+type verdict = Covered of Substitution.t | Blocked of int
+
+let default_frontier_cap = 24
+
+(* Head binding (the compiled [Coverage.head_subst]) into [bank_a.(0)], the
+   sweep's initial frontier: const head args compare by id against the
+   interned example, var args bind. *)
+let bind_head scratch plan g ~cap =
   ensure_scratch scratch ~nvars:plan.p_nvars ~cap;
-  let vals = Symtab.values tab in
+  Array.length plan.p_head = Array.length g.g_example
+  && begin
+       let buf = scratch.bank_a.(0) in
+       Array.fill buf 0 plan.p_nvars (-1);
+       let ok = ref true in
+       Array.iteri
+         (fun i a ->
+           if !ok then
+             if a >= 0 then begin
+               if a <> g.g_example.(i) then ok := false
+             end
+             else begin
+               let v = -a - 1 in
+               if buf.(v) = -1 then buf.(v) <- g.g_example.(i)
+               else if buf.(v) <> g.g_example.(i) then ok := false
+             end)
+         plan.p_head;
+       !ok
+     end
+
+(* The left-to-right frontier sweep behind both {!eval} and {!generalize},
+   from the head binding [bind_head] left in [bank_a.(0)]. A literal whose
+   frontier dies either ends the sweep ([kept = None]: coverage's blocking
+   atom) or, in drop-on-empty mode ([kept = Some k]: ARMG), is marked
+   [k.(lit) <- false] while the previous frontier carries on to the next
+   literal. Returns the 1-based blocking index (0 once every literal is
+   swept) and the final frontier's first substitution. *)
+let sweep ~cap ?budget ~kept scratch vals plan g =
   let nvars = plan.p_nvars in
-  (* Head binding (the compiled [Coverage.head_subst]): const head args
-     compare by id against the interned example, var args bind. *)
-  let head_ok =
-    Array.length plan.p_head = Array.length g.g_example
-    && begin
-         let buf = scratch.bank_a.(0) in
-         Array.fill buf 0 nvars (-1);
-         let ok = ref true in
-         Array.iteri
-           (fun i a ->
-             if !ok then
-               if a >= 0 then begin
-                 if a <> g.g_example.(i) then ok := false
-               end
-               else begin
-                 let v = -a - 1 in
-                 if buf.(v) = -1 then buf.(v) <- g.g_example.(i)
-                 else if buf.(v) <> g.g_example.(i) then ok := false
-               end)
-           plan.p_head;
-         !ok
-       end
-  in
-  if not head_ok then Subsumption.Blocked 0
-  else begin
-    (* Frontier state: [cur_bank.(cur_idx.(0..n-1))] in logical order. *)
-    let cur_bank = ref scratch.bank_a
-    and nxt_bank = ref scratch.bank_b
-    and cur_idx = ref scratch.idx_a
-    and nxt_idx = ref scratch.idx_b in
-    !cur_idx.(0) <- 0;
-    let n = ref 1 in
-    let blocked = ref 0 in
-    let nlits = Array.length plan.p_pred in
-    let li = ref 0 in
-    while !blocked = 0 && !li < nlits do
-      let lit = !li in
-      let pred = plan.p_pred.(lit) and args = plan.p_args.(lit) in
-      let arity = Array.length args in
-      let per_subst = max 2 (3 * cap / max 1 !n) in
-      let out_n = ref 0 in
-      (* Expansion: for each frontier substitution, probe the smallest
-         bound-position bucket (earliest position wins ties — the symbolic
-         tie rule) and keep the first [per_subst] successful extensions in
-         bucket order. *)
-      for fi = 0 to !n - 1 do
-        let s = !cur_bank.(!cur_idx.(fi)) in
-        let best = ref empty_bucket and best_len = ref (-1) in
-        for pos = 0 to arity - 1 do
-          let a = args.(pos) in
-          let bound = if a >= 0 then a else s.(-a - 1) in
-          if bound >= 0 then begin
-            let bucket =
-              try Adj.find g.g_adj (pred, pos, bound)
-              with Not_found -> empty_bucket
-            in
-            let len = Array.length bucket in
-            if !best_len < 0 || len < !best_len then begin
-              best := bucket;
-              best_len := len
-            end
+  (* Frontier state: [cur_bank.(cur_idx.(0..n-1))] in logical order. *)
+  let cur_bank = ref scratch.bank_a
+  and nxt_bank = ref scratch.bank_b
+  and cur_idx = ref scratch.idx_a
+  and nxt_idx = ref scratch.idx_b in
+  !cur_idx.(0) <- 0;
+  let n = ref 1 in
+  let blocked = ref 0 in
+  let nlits = Array.length plan.p_pred in
+  let li = ref 0 in
+  while !blocked = 0 && !li < nlits do
+    let lit = !li in
+    let pred = plan.p_pred.(lit) and args = plan.p_args.(lit) in
+    let arity = Array.length args in
+    let per_subst = max 2 (3 * cap / max 1 !n) in
+    let out_n = ref 0 in
+    (* Expansion: for each frontier substitution, probe the smallest
+       bound-position bucket (earliest position wins ties — the reference
+       tie rule) and keep the first [per_subst] successful extensions in
+       bucket order. *)
+    for fi = 0 to !n - 1 do
+      let s = !cur_bank.(!cur_idx.(fi)) in
+      let best = ref empty_bucket and best_len = ref (-1) in
+      for pos = 0 to arity - 1 do
+        let a = args.(pos) in
+        let bound = if a >= 0 then a else s.(-a - 1) in
+        if bound >= 0 then begin
+          let bucket =
+            try Adj.find g.g_adj (pred, pos, bound)
+            with Not_found -> empty_bucket
+          in
+          let len = Array.length bucket in
+          if !best_len < 0 || len < !best_len then begin
+            best := bucket;
+            best_len := len
           end
-        done;
-        let bucket =
-          if !best_len >= 0 then !best
-          else
-            try Int_tbl.find g.g_by_pred pred with Not_found -> empty_bucket
-        in
-        let matched = ref 0 and k = ref 0 in
-        let blen = Array.length bucket in
-        while !matched < per_subst && !k < blen do
-          let gl = bucket.(!k) in
-          incr k;
-          let goff = g.g_off.(gl) in
-          if g.g_off.(gl + 1) - goff = arity then begin
+        end
+      done;
+      let bucket =
+        if !best_len >= 0 then !best
+        else
+          try Int_tbl.find g.g_by_pred pred with Not_found -> empty_bucket
+      in
+      let matched = ref 0 and k = ref 0 in
+      let blen = Array.length bucket in
+      while !matched < per_subst && !k < blen do
+        let gl = bucket.(!k) in
+        incr k;
+        let goff = g.g_off.(gl) in
+        if g.g_off.(gl + 1) - goff = arity then begin
+          (* Constants and variables [s] already binds are checked before
+             [s] is copied: a copy costs [nvars] words, and bottom clauses
+             (ARMG's input) bind hundreds of variables. *)
+          let ok = ref true and pos = ref 0 in
+          while !ok && !pos < arity do
+            let a = args.(!pos) in
+            let gv = g.g_args.(goff + !pos) in
+            if a >= 0 then begin
+              if a <> gv then ok := false
+            end
+            else begin
+              let b = s.(-a - 1) in
+              if b >= 0 && b <> gv then ok := false
+            end;
+            incr pos
+          done;
+          if !ok then begin
             let buf = !nxt_bank.(!out_n) in
-            Array.blit s 0 buf 0 nvars;
-            let ok = ref true and pos = ref 0 in
+            (* A typed loop, not [Array.blit]: into a major-heap array (the
+               arenas live there) [Array.blit] copies through the write
+               barrier, about twice the cost per word. *)
+            for i = 0 to nvars - 1 do
+              buf.(i) <- s.(i)
+            done;
+            (* Bind the rest; a variable the literal repeats must bind one
+               value. *)
+            pos := 0;
             while !ok && !pos < arity do
               let a = args.(!pos) in
-              let gv = g.g_args.(goff + !pos) in
-              if a >= 0 then begin
-                if a <> gv then ok := false
-              end
-              else begin
-                let v = -a - 1 in
+              if a < 0 then begin
+                let v = -a - 1 and gv = g.g_args.(goff + !pos) in
                 if buf.(v) = -1 then buf.(v) <- gv
                 else if buf.(v) <> gv then ok := false
               end;
@@ -491,89 +524,118 @@ let eval ?(cap = Subsumption.default_frontier_cap) ?budget scratch tab plan g =
               incr matched
             end
           end
-        done
-      done;
-      if !out_n = 0 then blocked := lit + 1
-      else begin
-        let out_n = !out_n in
-        let ord = scratch.ord in
-        (* Logical order of the raw extensions: the symbolic engine builds
-           its list by prepending, so generation order reversed; frontiers
-           over 8 are sorted ascending and deduplicated instead. *)
-        let m =
-          if out_n <= 8 then begin
-            for i = 0 to out_n - 1 do
-              ord.(i) <- out_n - 1 - i
-            done;
-            out_n
-          end
-          else begin
-            for i = 0 to out_n - 1 do
-              ord.(i) <- i
-            done;
-            let bank = !nxt_bank in
-            let cmp i j =
-              let a = bank.(i) and b = bank.(j) in
-              let r = ref 0 and v = ref 0 in
-              while !r = 0 && !v < nvars do
-                let x = a.(!v) and y = b.(!v) in
-                (* Distinct ids are distinct values (interning is
-                   injective), so comparing through the reverse array
-                   agrees with [Substitution.compare]. *)
-                if x <> y then r := Value.compare vals.(x) vals.(y);
-                incr v
-              done;
-              !r
-            in
-            sort_ord ord scratch.aux out_n cmp;
-            let m = ref 1 in
-            for i = 1 to out_n - 1 do
-              if cmp ord.(!m - 1) ord.(i) <> 0 then begin
-                ord.(!m) <- ord.(i);
-                incr m
-              end
-            done;
-            !m
-          end
-        in
-        (* Rotation (≤ cap) or stride truncation (> cap), as in
-           [step_frontier]. *)
-        if m <= cap then begin
-          for i = 1 to m - 1 do
-            !nxt_idx.(i - 1) <- ord.(i)
-          done;
-          !nxt_idx.(m - 1) <- ord.(0);
-          n := m
         end
-        else begin
-          Budget.hit_opt budget Budget.Coverage_truncated;
-          for i = 0 to cap - 1 do
-            !nxt_idx.(i) <- ord.(i * m / cap)
-          done;
-          n := cap
-        end;
-        let b = !cur_bank and ix = !cur_idx in
-        cur_bank := !nxt_bank;
-        cur_idx := !nxt_idx;
-        nxt_bank := b;
-        nxt_idx := ix;
-        incr li
-      end
+      done
     done;
-    if !blocked > 0 then begin
-      Obs.Trace.arg "blocked_at" (string_of_int !blocked);
-      Subsumption.Blocked !blocked
+    if !out_n = 0 then begin
+      match kept with
+      | None -> blocked := lit + 1
+      | Some k ->
+          (* Dropping the literal leaves the surviving prefix's frontier
+             untouched: only [nxt_bank] was written. *)
+          k.(lit) <- false;
+          incr li
     end
     else begin
-      (* Witness: the frontier's first substitution, decoded back to
-         original variable ids. Every clause variable occurs in the head or
-         a matched body literal, so all dense slots are bound. *)
-      let s = !cur_bank.(!cur_idx.(0)) in
-      let w = ref Substitution.empty in
-      for v = 0 to nvars - 1 do
-        if s.(v) >= 0 then
-          w := Substitution.bind plan.p_var_ids.(v) vals.(s.(v)) !w
-      done;
-      Subsumption.Covered !w
+      let out_n = !out_n in
+      let ord = scratch.ord in
+      (* Logical order of the raw extensions: the reference engine builds
+         its list by prepending, so generation order reversed; frontiers
+         over 8 are sorted ascending and deduplicated instead. *)
+      let m =
+        if out_n <= 8 then begin
+          for i = 0 to out_n - 1 do
+            ord.(i) <- out_n - 1 - i
+          done;
+          out_n
+        end
+        else begin
+          for i = 0 to out_n - 1 do
+            ord.(i) <- i
+          done;
+          let bank = !nxt_bank in
+          let cmp i j =
+            let a = bank.(i) and b = bank.(j) in
+            let r = ref 0 and v = ref 0 in
+            while !r = 0 && !v < nvars do
+              let x = a.(!v) and y = b.(!v) in
+              (* Distinct ids are distinct values (interning is
+                 injective), so comparing through the reverse array
+                 agrees with [Substitution.compare]. *)
+              if x <> y then r := Value.compare vals.(x) vals.(y);
+              incr v
+            done;
+            !r
+          in
+          sort_ord ord scratch.aux out_n cmp;
+          let m = ref 1 in
+          for i = 1 to out_n - 1 do
+            if cmp ord.(!m - 1) ord.(i) <> 0 then begin
+              ord.(!m) <- ord.(i);
+              incr m
+            end
+          done;
+          !m
+        end
+      in
+      (* Rotation (≤ cap) or stride truncation (> cap). *)
+      if m <= cap then begin
+        for i = 1 to m - 1 do
+          !nxt_idx.(i - 1) <- ord.(i)
+        done;
+        !nxt_idx.(m - 1) <- ord.(0);
+        n := m
+      end
+      else begin
+        Budget.hit_opt budget Budget.Coverage_truncated;
+        for i = 0 to cap - 1 do
+          !nxt_idx.(i) <- ord.(i * m / cap)
+        done;
+        n := cap
+      end;
+      let b = !cur_bank and ix = !cur_idx in
+      cur_bank := !nxt_bank;
+      cur_idx := !nxt_idx;
+      nxt_bank := b;
+      nxt_idx := ix;
+      incr li
     end
+  done;
+  (!blocked, !cur_bank.(!cur_idx.(0)))
+
+(** [eval ?cap ?budget scratch tab plan g] — the sweep in blocking mode:
+    [Covered w] with the final frontier's first substitution as witness, or
+    [Blocked i] at the first literal whose frontier dies ([Blocked 0] when
+    the head cannot bind to the ground's example tuple). *)
+let eval ?(cap = default_frontier_cap) ?budget scratch tab plan g =
+  Obs.Trace.span ~cat:"subsumption" "eval_compiled" @@ fun () ->
+  if not (bind_head scratch plan g ~cap) then Blocked 0
+  else begin
+    let vals = Symtab.values tab in
+    match sweep ~cap ?budget ~kept:None scratch vals plan g with
+    | 0, s ->
+        (* Witness: decoded back to original variable ids. Every clause
+           variable occurs in the head or a matched body literal, so all
+           dense slots are bound. *)
+        let w = ref Substitution.empty in
+        for v = 0 to plan.p_nvars - 1 do
+          if s.(v) >= 0 then
+            w := Substitution.bind plan.p_var_ids.(v) vals.(s.(v)) !w
+        done;
+        Covered !w
+    | blocked, _ ->
+        Obs.Trace.arg "blocked_at" (string_of_int blocked);
+        Blocked blocked
+  end
+
+(** [generalize ?cap scratch tab plan g] — the sweep in drop-on-empty mode
+    (ARMG's blocking-atom removal): the kept-literal mask over [plan]'s
+    body, or [None] when the head cannot bind. No budget: ARMG's frontier
+    truncations are not coverage degradation. *)
+let generalize ?(cap = default_frontier_cap) scratch tab plan g =
+  if not (bind_head scratch plan g ~cap) then None
+  else begin
+    let kept = Array.make (n_body plan) true in
+    ignore (sweep ~cap ~kept:(Some kept) scratch (Symtab.values tab) plan g);
+    Some kept
   end

@@ -1,19 +1,19 @@
-(** Clause compilation: an int-coded θ-subsumption kernel for the coverage
-    hot path.
+(** The int-coded θ-subsumption kernel: coverage testing (Section 5) and
+    ARMG (Section 2.3.2) as one left-to-right substitution-frontier sweep.
 
     Predicate symbols and constants are interned into contiguous int ids;
     ground bottom clauses flatten into int arrays with precomputed
     per-(predicate, position, value) adjacency indexes; candidate clauses
-    compile once into evaluation {!plan}s; and {!eval} runs the frontier
-    over reusable {!scratch} arenas — loops over int arrays, no per-step
-    allocation.
+    compile once into evaluation {!plan}s; and the sweep runs over reusable
+    {!scratch} arenas — loops over int arrays, no per-step allocation.
 
-    [eval] is {e bit-identical} to {!Subsumption.eval_prefix}: same
-    verdicts, same witness substitutions, same [Coverage_truncated] budget
-    hits, for every clause/ground/cap — the property the qcheck oracle test
-    asserts. Interned ids are only ever compared for equality; ordering
-    goes through [Value.compare] on the reverse array, so results do not
-    depend on interning order (and hence not on pool scheduling). *)
+    {!eval} stops at the first body literal whose frontier dies (the
+    blocking atom); {!generalize} drops it and carries the previous frontier
+    on. Both replicate the symbolic reference engine the tests keep as an
+    oracle: same verdicts, witnesses, truncation counts and kept literals.
+    Interned ids are only ever compared for equality; ordering goes through
+    [Value.compare] on the reverse array, so results do not depend on
+    interning order (and hence not on pool scheduling). *)
 
 (** A process- or context-wide interner for predicate symbols and constant
     values. Thread-safe: interning takes an internal mutex; readers access
@@ -39,7 +39,7 @@ type ground
 val ground_size : ground -> int
 
 (** [compile_ground tab ~example lits] flattens ground literals [lits],
-    preserving the symbolic engine's index orders.
+    preserving their order in every index.
     @raise Invalid_argument if some literal is not ground. *)
 val compile_ground :
   Symtab.t -> example:Relational.Relation.tuple -> Literal.t list -> ground
@@ -78,10 +78,20 @@ type scratch
 
 val make_scratch : unit -> scratch
 
-(** [eval ?cap ?budget scratch tab plan g] — {!Subsumption.eval_prefix}
-    over the compiled representations, bit-identical to the symbolic
-    engine. [Blocked 0] means the head cannot bind to [g]'s example
-    tuple. *)
+(** A coverage verdict. *)
+type verdict =
+  | Covered of Substitution.t  (** a witness substitution *)
+  | Blocked of int
+      (** 1-based index of the blocking body literal (Section 2.3.2); [0]
+          when the head cannot bind to the example *)
+
+(** Substitutions a frontier keeps per literal (24). *)
+val default_frontier_cap : int
+
+(** [eval ?cap ?budget scratch tab plan g] — does [plan] cover [g]'s
+    example? The head binds to the example tuple, then the body is swept
+    left to right; each frontier truncation bumps [budget]'s
+    [Coverage_truncated]. *)
 val eval :
   ?cap:int ->
   ?budget:Budget.t ->
@@ -89,4 +99,11 @@ val eval :
   Symtab.t ->
   plan ->
   ground ->
-  Subsumption.verdict
+  verdict
+
+(** [generalize ?cap scratch tab plan g] — ARMG's sweep: every body literal
+    whose frontier dies is dropped, the previous frontier carrying on. The
+    kept-literal mask over [plan]'s body, or [None] when the head cannot
+    bind. Reports nothing: no span, no budget. *)
+val generalize :
+  ?cap:int -> scratch -> Symtab.t -> plan -> ground -> bool array option

@@ -1,5 +1,5 @@
 (** Substitutions θ: finite maps from variable ids to constant values.
-    Subsumption only ever binds variables to constants (the target clause is
+    θ-subsumption only ever binds variables to constants (the target clause is
     ground), so the codomain is {!Relational.Value.t}. *)
 
 type t

@@ -62,7 +62,7 @@ type t = {
   queue : task Queue.t;
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
-  chaos : Fault.t option;
+  chaos : Chaos.t option;
   budget : Budget.t option;
       (** bounds supervision backoff sleeps: a cancelled budget ends them *)
   policy : Resilience.Policy.t;
@@ -212,7 +212,7 @@ and worker_loop t w () =
           "pool_task"
           (fun () ->
             try
-              (match t.chaos with Some f -> Fault.tick f | None -> ());
+              (match t.chaos with Some f -> Chaos.tick f | None -> ());
               task.run ();
               `Ok
             with

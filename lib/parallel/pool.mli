@@ -9,9 +9,10 @@
     Tasks should not raise — higher-level combinators ({!Par}) wrap user
     functions and carry exceptions back to the caller themselves. An
     ordinary exception that escapes a task anyway (a harness bug, or an
-    injected {!Fault}) does not kill the worker: it is counted, the first
-    one's backtrace is logged and kept for {!first_fault}, and the tally is
-    visible in {!stats} — faults are survived loudly, never silently.
+    injected {!Chaos.Injected}) does not kill the worker: it is counted, the
+    first one's backtrace is logged and kept for {!first_fault}, and the
+    tally is visible in {!stats} — faults are survived loudly, never
+    silently.
 
     {!Chaos.Killed} is different: it takes the worker domain down, and the
     supervision {!Resilience.Policy} takes over — the task is retried on another
@@ -53,7 +54,7 @@ type stats = {
     (and whatever job it will retry) hostage. [policy] (default
     {!Resilience.Policy.default}) governs restart/retry/quarantine. *)
 val create :
-  ?size:int -> ?chaos:Fault.t -> ?budget:Budget.t ->
+  ?size:int -> ?chaos:Chaos.t -> ?budget:Budget.t ->
   ?policy:Resilience.Policy.t -> unit -> t
 
 (** [size t] is the number of worker domains. *)
@@ -97,5 +98,5 @@ val shutdown : t -> unit
 (** [with_pool ?size ?chaos ?budget ?policy f] runs [f pool] and shuts the
     pool down afterwards, also on exceptions. *)
 val with_pool :
-  ?size:int -> ?chaos:Fault.t -> ?budget:Budget.t ->
+  ?size:int -> ?chaos:Chaos.t -> ?budget:Budget.t ->
   ?policy:Resilience.Policy.t -> (t -> 'a) -> 'a

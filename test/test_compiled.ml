@@ -1,23 +1,37 @@
-(* The compiled evaluation kernel's contract: bit-identity with the
-   symbolic frontier engine. Oracle-equality properties (verdicts AND
-   witnesses, including truncated frontiers at tiny caps), plus learner
-   A/B checks that --no-compiled-eval runs are bit-identical at a fixed
-   seed — sequentially and under a pool — with memo hit-rate parity. *)
+(* The compiled kernel's contract. It reproduces the symbolic oracle
+   (test/oracle) exactly: coverage verdicts, witnesses and truncation counts
+   at every frontier cap, and ARMG's kept literals. The learner built on it
+   reproduces a recorded fixed-seed run, and coverage contexts do not leak
+   their scratch arenas. *)
 
 module Coverage = Learning.Coverage
 module Learn = Learning.Learn
 module Pool = Parallel.Pool
 module Compiled = Logic.Compiled
-module Subsumption = Logic.Subsumption
 
 let verdict_eq a b =
   match (a, b) with
-  | Subsumption.Covered w1, Subsumption.Covered w2 ->
+  | Compiled.Covered w1, Compiled.Covered w2 ->
       Logic.Substitution.compare w1 w2 = 0
-  | Subsumption.Blocked i, Subsumption.Blocked j -> i = j
+  | Compiled.Blocked i, Compiled.Blocked j -> i = j
   | _ -> false
 
 let truncations b = (Budget.counters b).Budget.coverage_truncated
+
+(* The ground BC of [example] in both representations, from one literal
+   list: what a coverage context caches, and what the oracle sweeps. *)
+let grounds tab (d : Datasets.Dataset.t) ~rng example =
+  let body =
+    Logic.Clause.body
+      (Learning.Bottom_clause.build_ground d.db d.manual_bias ~rng ~example)
+  in
+  (Compiled.compile_ground tab ~example body, Oracle.ground_of_literals body)
+
+(* The oracle's verdict behind the same head binding coverage uses. *)
+let oracle_eval ?cap ?truncated clause example og =
+  match Coverage.head_subst clause example with
+  | None -> Compiled.Blocked 0
+  | Some subst -> Oracle.eval_prefix ?cap ?truncated ~subst clause og
 
 let kernel_properties =
   [
@@ -26,24 +40,12 @@ let kernel_properties =
          ~name:"compiled coverage equals the symbolic oracle" ~count:8
          QCheck.(pair (int_bound 1000) small_nat)
          (fun (seed, j) ->
-           (* Two uncached contexts over the same world and master seed —
-              one compiled, one symbolic. Every verdict must agree exactly:
-              equal blocking indexes, witnesses equal under
-              Substitution.compare, and the same number of frontier
-              truncations (the budgeted give-up path). *)
+           (* A bottom clause and its first half against every example's
+              ground BC at the default cap: equal blocking indexes,
+              witnesses equal under Substitution.compare, and the same
+              number of frontier truncations (the budgeted give-up path). *)
            let s = 1 + (seed mod 17) in
            let d = Datasets.Uw.generate ~seed:s ~scale:0.3 () in
-           (* pruning off: the truncation-parity check needs every verdict
-              to come from a real evaluation on both sides (the prune store
-              only exists under the compiled engine) *)
-           let mk use_compiled budget =
-             Coverage.create ~use_cache:false ~use_compiled
-               ~use_pruning:false ~budget d.Datasets.Dataset.db
-               d.Datasets.Dataset.manual_bias
-               ~rng:(Random.State.make [| s; 77 |])
-           in
-           let b_c = Budget.create () and b_s = Budget.create () in
-           let compiled = mk true b_c and symbolic = mk false b_s in
            let pos = Array.of_list d.Datasets.Dataset.positives in
            let bc =
              Learning.Bottom_clause.build d.Datasets.Dataset.db
@@ -56,20 +58,26 @@ let kernel_properties =
            let clauses =
              [ bc; Logic.Clause.make (Logic.Clause.head bc) half ]
            in
-           let examples =
-             d.Datasets.Dataset.positives @ d.Datasets.Dataset.negatives
-           in
-           Coverage.compiled_enabled compiled
-           && (not (Coverage.compiled_enabled symbolic))
-           && List.for_all
-                (fun c ->
-                  List.for_all
-                    (fun e ->
-                      verdict_eq (Coverage.eval compiled c e)
-                        (Coverage.eval symbolic c e))
-                    examples)
-                clauses
-           && truncations b_c = truncations b_s));
+           let tab = Compiled.Symtab.create () in
+           let scratch = Compiled.make_scratch () in
+           let plans = List.map (fun c -> (c, Compiled.compile tab c)) clauses in
+           let b = Budget.create () and truncated = ref 0 in
+           List.for_all
+             (fun e ->
+               let cg, og =
+                 grounds tab d ~rng:(Random.State.make [| s; 77 |]) e
+               in
+               List.for_all
+                 (fun (c, plan) ->
+                   let compiled =
+                     match Coverage.head_subst c e with
+                     | None -> Compiled.Blocked 0
+                     | Some _ -> Compiled.eval ~budget:b scratch tab plan cg
+                   in
+                   verdict_eq compiled (oracle_eval ~truncated c e og))
+                 plans)
+             (d.Datasets.Dataset.positives @ d.Datasets.Dataset.negatives)
+           && truncations b = !truncated));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"compiled kernel equals eval_prefix at tiny frontier caps"
@@ -85,11 +93,9 @@ let kernel_properties =
            let pos = Array.of_list d.Datasets.Dataset.positives in
            let e1 = pos.(i mod Array.length pos) in
            let e2 = pos.(j mod Array.length pos) in
-           let ground_clause =
-             Learning.Bottom_clause.build_ground d.Datasets.Dataset.db
-               d.Datasets.Dataset.manual_bias
-               ~rng:(Random.State.make [| s; 55 |])
-               ~example:e1
+           let tab = Compiled.Symtab.create () in
+           let comp_g, sym_g =
+             grounds tab d ~rng:(Random.State.make [| s; 55 |]) e1
            in
            let bc =
              Learning.Bottom_clause.build d.Datasets.Dataset.db
@@ -97,41 +103,139 @@ let kernel_properties =
                ~rng:(Random.State.make [| s; 99 |])
                ~example:e2
            in
-           let body = Logic.Clause.body ground_clause in
-           let sym_g = Subsumption.ground_of_literals body in
-           let tab = Compiled.Symtab.create () in
-           let comp_g = Compiled.compile_ground tab ~example:e1 body in
            let plan = Compiled.compile tab bc in
            let scratch = Compiled.make_scratch () in
            List.for_all
              (fun cap ->
-               let b_c = Budget.create () and b_s = Budget.create () in
-               let compiled =
-                 Compiled.eval ~cap ~budget:b_c scratch tab plan comp_g
-               in
-               let agreed =
-                 match Coverage.head_subst bc e1 with
-                 | None -> compiled = Subsumption.Blocked 0
-                 | Some subst ->
-                     verdict_eq compiled
-                       (Subsumption.eval_prefix ~cap ~budget:b_s ~subst bc
-                          sym_g)
-               in
-               agreed && truncations b_c = truncations b_s)
+               let b = Budget.create () and truncated = ref 0 in
+               let compiled = Compiled.eval ~cap ~budget:b scratch tab plan comp_g in
+               verdict_eq compiled (oracle_eval ~cap ~truncated bc e1 sym_g)
+               && truncations b = !truncated)
              [ 3; 8; 24 ]));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"compiled kernel equals eval_prefix on small random clauses"
+         ~count:300
+         QCheck.(
+           triple (int_range 1 4)
+             (list_of_size Gen.(int_range 1 5)
+                (triple (int_bound 1) (int_bound 5) (int_bound 5)))
+             (list_of_size Gen.(int_range 1 10)
+                (triple (int_bound 1) (int_bound 2) (int_bound 2))))
+         (fun (cap, body_spec, ground_spec) ->
+           (* Literals over 4 variables (0 is the head's) and 2 constants,
+              so repeated variables within a literal (p(X,X)), constants
+              and unconnected literals all occur; caps down to 1 force
+              truncation. Verdict, witness, truncation count and ARMG mask
+              must all match the oracle. *)
+           let term i =
+             if i < 4 then Logic.Term.Var i
+             else Logic.Term.Const (Relational.Value.int (i - 4))
+           in
+           let lit t (p, a, b) =
+             Logic.Literal.make (Printf.sprintf "p%d" p) [| t a; t b |]
+           in
+           let body = List.map (lit term) body_spec in
+           let ground =
+             List.map
+               (lit (fun x -> Logic.Term.Const (Relational.Value.int x)))
+               ground_spec
+           in
+           let c = Logic.Clause.make (Logic.Parser.literal "h(X)") body in
+           let example = [| Relational.Value.int 0 |] in
+           let tab = Compiled.Symtab.create () in
+           let cg = Compiled.compile_ground tab ~example ground in
+           let og = Oracle.ground_of_literals ground in
+           let plan = Compiled.compile tab c in
+           let scratch = Compiled.make_scratch () in
+           let b = Budget.create () and truncated = ref 0 in
+           verdict_eq
+             (Compiled.eval ~cap ~budget:b scratch tab plan cg)
+             (oracle_eval ~cap ~truncated c example og)
+           && truncations b = !truncated
+           && Compiled.generalize ~cap scratch tab plan cg
+              = Option.map
+                  (fun subst -> Oracle.generalize ~cap ~subst c og)
+                  (Coverage.head_subst c example)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"compiled ARMG keeps the symbolic oracle's literals" ~count:12
+         QCheck.(triple bool (int_bound 1000) (pair small_nat small_nat))
+         (fun (sys, seed, (i, j)) ->
+           (* ARMG's drop-on-empty sweep on UW and SYS data: a bottom
+              clause, a reordered copy and a copy whose head is pinned to
+              its seed example's first constant (so other examples fail
+              the head), each generalized against another example's ground
+              BC. At every cap the kept-literal mask must equal the
+              oracle's, and head failure must be [None] on both sides —
+              through the kernel and through the plan cache Armg uses. *)
+           let s = 1 + (seed mod 17) in
+           let d =
+             if sys then Datasets.Sys_data.generate ~seed:s ~scale:0.05 ()
+             else Datasets.Uw.generate ~seed:s ~scale:0.3 ()
+           in
+           let pos = Array.of_list d.Datasets.Dataset.positives in
+           let examples =
+             Array.of_list
+               (d.Datasets.Dataset.positives @ d.Datasets.Dataset.negatives)
+           in
+           let e1 = pos.(i mod Array.length pos) in
+           let e2 = examples.(j mod Array.length examples) in
+           let bc =
+             Learning.Bottom_clause.build d.Datasets.Dataset.db
+               d.Datasets.Dataset.manual_bias
+               ~rng:(Random.State.make [| s; 99 |])
+               ~example:e1
+           in
+           let head = Logic.Clause.head bc and body = Logic.Clause.body bc in
+           let pinned =
+             match Logic.Literal.args head with
+             | [| |] -> bc
+             | args -> (
+                 match args.(0) with
+                 | Logic.Term.Var v ->
+                     Logic.Clause.apply
+                       (Logic.Substitution.bind v e1.(0) Logic.Substitution.empty)
+                       bc
+                 | Logic.Term.Const _ -> bc)
+           in
+           let clauses =
+             [ bc; Logic.Clause.make head (List.rev body); pinned ]
+           in
+           let ep = Learning.Eval_plan.create () in
+           let tab = Learning.Eval_plan.symtab ep in
+           let comp_g, sym_g =
+             grounds tab d ~rng:(Random.State.make [| s; 55 |]) e2
+           in
+           let scratch = Compiled.make_scratch () in
+           List.for_all
+             (fun c ->
+               let oracle cap =
+                 Option.map
+                   (fun subst -> Oracle.generalize ?cap ~subst c sym_g)
+                   (Coverage.head_subst c e2)
+               in
+               let plan = Compiled.compile tab c in
+               List.for_all
+                 (fun cap ->
+                   Compiled.generalize ~cap scratch tab plan comp_g
+                   = oracle (Some cap))
+                 [ 3; 8; 24 ]
+               && Learning.Eval_plan.generalize ep c comp_g = oracle None)
+             clauses));
   ]
 
-(* ---------------- Learner A/B: --no-compiled-eval ---------------- *)
+(* ---------------- The learner on the kernel ---------------- *)
 
-let learn_uw ?pool ?(use_compiled = true) ?(use_cache = true) ~seed () =
+let learn_uw ?pool ?(use_cache = true) ~seed () =
   let d = Datasets.Uw.generate ~seed ~scale:0.4 () in
   let rng = Random.State.make [| seed |] in
-  (* pruning off: the A/B below asserts exact subsumption-try and
-     truncation parity between compiled and symbolic runs; the prune store
-     (compiled-only) would break the counts. Its own A/B is test_prune. *)
+  (* pruning off: the golden counters below are exact subsumption-try and
+     truncation counts, which the prune store would lower. Its own A/B is
+     test_prune. *)
   let cov =
-    Coverage.create ~use_cache ~use_compiled ~use_pruning:false
-      d.Datasets.Dataset.db d.Datasets.Dataset.manual_bias ~rng
+    Coverage.create ~use_cache ~use_pruning:false d.Datasets.Dataset.db
+      d.Datasets.Dataset.manual_bias ~rng
   in
   let config = { Learn.default_config with timeout = Some 600.; pool } in
   Learn.learn ~config cov ~rng ~positives:d.Datasets.Dataset.positives
@@ -139,57 +243,73 @@ let learn_uw ?pool ?(use_compiled = true) ?(use_cache = true) ~seed () =
 
 let render def = Logic.Clause.definition_to_string def
 
-let ab_tests =
+(* The run recorded when ARMG still swept the symbolic frontier: the
+   definition and counters a kernel that equals the oracle must reproduce,
+   sequentially and on a pool. *)
+let golden_definition =
+  "advisedBy(X,Y) :- publication(V7,X), publication(V7,Y)\n\
+   advisedBy(X,Y) :- taughtBy(V,Y,W), ta(V,X,V7)"
+
+let check_golden r =
+  Alcotest.(check string) "definition" golden_definition
+    (render r.Learn.definition);
+  let c = r.Learn.degradation.Budget.counters in
+  Alcotest.(check int) "subsumption tries" 2717 c.Budget.subsumption_tries;
+  Alcotest.(check int) "memo hits" 396 c.Budget.coverage_memo_hits;
+  Alcotest.(check int) "memo misses" 2717 c.Budget.coverage_memo_misses;
+  Alcotest.(check int) "frontier truncations" 1541 c.Budget.coverage_truncated
+
+let learner_tests =
   [
-    Alcotest.test_case
-      "compiled on/off: bit-identical definitions, memo parity" `Slow
+    Alcotest.test_case "golden UW seed-5 learn: definition and counters" `Slow
+      (fun () -> check_golden (learn_uw ~seed:5 ()));
+    Alcotest.test_case "golden UW seed-5 learn on a 1-domain pool" `Slow
       (fun () ->
-        (* The tentpole acceptance criterion: on a fixed seed the compiled
-           kernel must be invisible to results — and the canonical int-id
-           memo key must hit exactly as often as the printed-clause key. *)
-        let compiled = learn_uw ~use_compiled:true ~seed:5 () in
-        let symbolic = learn_uw ~use_compiled:false ~seed:5 () in
-        Alcotest.(check string) "identical definition"
-          (render symbolic.Learn.definition)
-          (render compiled.Learn.definition);
-        Alcotest.(check bool) "nonempty" true (compiled.Learn.definition <> []);
-        let counters r = r.Learn.degradation.Budget.counters in
-        Alcotest.(check int) "memo hit parity"
-          (counters symbolic).Budget.coverage_memo_hits
-          (counters compiled).Budget.coverage_memo_hits;
-        Alcotest.(check int) "memo miss parity"
-          (counters symbolic).Budget.coverage_memo_misses
-          (counters compiled).Budget.coverage_memo_misses;
-        Alcotest.(check int) "same subsumption work"
-          (counters symbolic).Budget.subsumption_tries
-          (counters compiled).Budget.subsumption_tries;
-        Alcotest.(check int) "same frontier truncations"
-          (counters symbolic).Budget.coverage_truncated
-          (counters compiled).Budget.coverage_truncated);
-    Alcotest.test_case "compiled on/off under a pool: bit-identical" `Slow
-      (fun () ->
-        let plain = learn_uw ~use_compiled:false ~seed:5 () in
-        List.iter
-          (fun use_compiled ->
-            let pooled =
-              Pool.with_pool ~size:1 (fun p ->
-                  learn_uw ~pool:p ~use_compiled ~seed:5 ())
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "pool=1 compiled=%b: identical definition"
-                 use_compiled)
-              (render plain.Learn.definition)
-              (render pooled.Learn.definition))
-          [ true; false ]);
+        check_golden
+          (Pool.with_pool ~size:1 (fun p -> learn_uw ~pool:p ~seed:5 ())));
     Alcotest.test_case "uncached compiled run matches the cached one" `Slow
       (fun () ->
-        (* The memo and the kernel compose: toggling either knob never
+        (* The memo and the kernel compose: toggling the memo never
            changes the definition. *)
         let cached = learn_uw ~use_cache:true ~seed:5 () in
         let uncached = learn_uw ~use_cache:false ~seed:5 () in
         Alcotest.(check string) "identical definition"
           (render cached.Learn.definition)
           (render uncached.Learn.definition));
+    Alcotest.test_case "coverage contexts release their scratch arenas" `Quick
+      (fun () ->
+        (* Every evaluation sweeps on a per-domain scratch arena. A context
+           that pinned its own arena in domain-local storage would keep it
+           alive after the context is dropped (a DLS slot is never freed):
+           hundreds of short learns would each leak one. *)
+        let d = Datasets.Uw.generate ~seed:3 ~scale:0.3 () in
+        let e = List.hd d.Datasets.Dataset.positives in
+        let clause =
+          Logic.Parser.clause
+            "advisedBy(A,B) :- publication(C,A), publication(C,B), \
+             publication(D,A), publication(E,B), ta(F,A,G), taughtBy(F,B,H)"
+        in
+        let once () =
+          let cov =
+            Coverage.create ~use_cache:false d.Datasets.Dataset.db
+              d.Datasets.Dataset.manual_bias ~rng:(Random.State.make [| 3 |])
+          in
+          ignore (Coverage.eval cov clause e)
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        once ();
+        let before = live () in
+        for _ = 1 to 300 do
+          once ()
+        done;
+        let grown = live () - before in
+        Alcotest.(check bool)
+          (Printf.sprintf "live heap grew %d words over 300 contexts" grown)
+          true
+          (grown < 100_000));
   ]
 
-let suite = kernel_properties @ ab_tests
+let suite = kernel_properties @ learner_tests

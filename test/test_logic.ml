@@ -1,5 +1,5 @@
 (* Tests for the logic substrate: terms, literals, substitutions, clauses,
-   parsing, and both subsumption engines. *)
+   parsing, and the symbolic subsumption engines of the test oracle. *)
 
 module Value = Relational.Value
 module Term = Logic.Term
@@ -7,7 +7,7 @@ module Literal = Logic.Literal
 module Substitution = Logic.Substitution
 module Clause = Logic.Clause
 module Parser = Logic.Parser
-module Subsumption = Logic.Subsumption
+module Subsumption = Oracle
 
 let v = Value.str
 let lit s = Parser.literal s
@@ -209,9 +209,9 @@ let subsumption_tests =
         (* literals 1-2 are satisfiable (Z=p1, X=juan, Y=sarita), literal 3
            is not: blocking atom is 3. *)
         match Subsumption.eval_prefix ~subst:Substitution.empty c (ground_uw ()) with
-        | Subsumption.Blocked 3 -> ()
-        | Subsumption.Blocked i -> Alcotest.failf "blocked at %d, expected 3" i
-        | Subsumption.Covered _ -> Alcotest.fail "should not be covered");
+        | Logic.Compiled.Blocked 3 -> ()
+        | Logic.Compiled.Blocked i -> Alcotest.failf "blocked at %d, expected 3" i
+        | Logic.Compiled.Covered _ -> Alcotest.fail "should not be covered");
     Alcotest.test_case "ground_of_literals rejects variables" `Quick (fun () ->
         Alcotest.(check bool) "raises" true
           (try

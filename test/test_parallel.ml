@@ -7,13 +7,29 @@ module Pool = Parallel.Pool
 module Par = Parallel.Par
 module Coverage = Learning.Coverage
 
+(* AUTOBIAS_CHAOS=P arms the shared pool with seeded fault injection at
+   probability P (seed from AUTOBIAS_CHAOS_SEED, worker-kill probability
+   from AUTOBIAS_CHAOS_KILL, both defaulting to 0) — how the CI chaos job
+   runs the whole suite under injection. Unset, empty, unparsable or
+   non-positive leaves the pool clean. *)
+let chaos_from_env () =
+  let env var parse = Option.bind (Sys.getenv_opt var) parse in
+  match env "AUTOBIAS_CHAOS" float_of_string_opt with
+  | Some p when p > 0. ->
+      let seed =
+        Option.value (env "AUTOBIAS_CHAOS_SEED" int_of_string_opt) ~default:0
+      in
+      let p_kill =
+        Option.value (env "AUTOBIAS_CHAOS_KILL" float_of_string_opt) ~default:0.
+      in
+      Some (Chaos.create ~p_fault:p ~p_kill ~seed ())
+  | _ -> None
+
 (* One pool shared by the whole suite: spawning domains per test would
    dominate runtime. Sized 2 to exercise real concurrency where cores
-   allow. AUTOBIAS_CHAOS=P turns on seeded fault injection for the whole
-   suite (the CI chaos job): every result assertion must still hold, since
-   killed pool jobs only lose parallelism, never results. *)
-let shared_pool =
-  lazy (Pool.create ~size:2 ?chaos:(Parallel.Fault.from_env ()) ())
+   allow. Under AUTOBIAS_CHAOS every result assertion must still hold,
+   since killed pool jobs only lose parallelism, never results. *)
+let shared_pool = lazy (Pool.create ~size:2 ?chaos:(chaos_from_env ()) ())
 
 let pool () = Lazy.force shared_pool
 
@@ -160,7 +176,7 @@ let coverage_tests =
           in
           Coverage.warm ?pool cov d.Datasets.Dataset.positives;
           List.map
-            (fun e -> Logic.Subsumption.ground_size (Coverage.ground_of cov e))
+            (fun e -> Logic.Compiled.ground_size (Coverage.ground_of cov e))
             d.Datasets.Dataset.positives
         in
         Alcotest.(check (list int)) "same ground BCs" (build None)

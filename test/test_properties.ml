@@ -310,7 +310,7 @@ let subsumption_properties =
            let extra = List.map (lit ~ground:true) extra_spec in
            let c = Logic.Clause.make (Logic.Parser.literal "h(X)") body in
            let covers g =
-             Logic.Subsumption.subsumes c (Logic.Subsumption.ground_of_literals g)
+             Oracle.subsumes c (Oracle.ground_of_literals g)
            in
            (* adding literals to the ground clause can only help *)
            (not (covers g1)) || covers (g1 @ extra)));

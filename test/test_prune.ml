@@ -60,12 +60,12 @@ let properties =
                  (fun e ->
                    match Coverage.probe_pruned pruned c e with
                    | None -> true
-                   | Some (Logic.Subsumption.Covered _) ->
+                   | Some (Logic.Compiled.Covered _) ->
                        false (* the store must never predict coverage *)
-                   | Some (Logic.Subsumption.Blocked i) -> (
+                   | Some (Logic.Compiled.Blocked i) -> (
                        match Coverage.eval oracle c e with
-                       | Logic.Subsumption.Blocked i' -> i = i'
-                       | Logic.Subsumption.Covered _ -> false))
+                       | Logic.Compiled.Blocked i' -> i = i'
+                       | Logic.Compiled.Covered _ -> false))
                  examples)
              clauses));
   ]

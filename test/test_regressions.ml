@@ -82,13 +82,20 @@ let stride_diversity_test =
                      [ Logic.Parser.literal (Printf.sprintf "q(%s,hit)" a) ]
                    else [])))
       in
-      let g = Logic.Subsumption.ground_of_literals ground in
+      let tab = Logic.Compiled.Symtab.create () in
+      let g = Logic.Compiled.compile_ground tab ~example:[| v "x" |] ground in
       let c = Logic.Parser.clause "h(X) :- p(X,A), q(A,hit)" in
-      let subst =
-        Option.get (Logic.Substitution.extend Logic.Substitution.empty 0 (v "x"))
-      in
+      let plan = Logic.Compiled.compile tab c in
+      let budget = Budget.create () in
       Alcotest.(check bool) "covered despite cap" true
-        (Logic.Subsumption.covers_ground ~cap:16 ~subst c g))
+        (match
+           Logic.Compiled.eval ~cap:16 ~budget (Logic.Compiled.make_scratch ())
+             tab plan g
+         with
+        | Logic.Compiled.Covered _ -> true
+        | Logic.Compiled.Blocked _ -> false);
+      Alcotest.(check bool) "the cap truncated the frontier" true
+        ((Budget.counters budget).Budget.coverage_truncated > 0))
 
 (* Regression 3 (SYS): mode ordering. Selective #-modes must contribute
    their literals before generic modes, or the frontier diffuses before the

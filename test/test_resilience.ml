@@ -415,7 +415,27 @@ let resume_tests =
                matches the uninterrupted run exactly *)
             Alcotest.(check int) "candidate count restored + tail"
               reference.Learn.stats.Learn.candidates_evaluated
-              resumed.Learn.stats.Learn.candidates_evaluated);
+              resumed.Learn.stats.Learn.candidates_evaluated;
+            (* a snapshot from a build that still counted backtracking
+               restarts and give-ups: the names it no longer knows are
+               ignored, everything else resumes as before *)
+            let legacy =
+              {
+                first with
+                Checkpoint.counters =
+                  first.Checkpoint.counters
+                  @ [ ("subsumption_restarts", 4); ("subsumption_exhausted", 1) ];
+              }
+            in
+            let resumed_legacy = run_uw ~resume:legacy ~seed:7 () in
+            Alcotest.(check string) "legacy counters: same definition"
+              (render reference.Learn.definition)
+              (render resumed_legacy.Learn.definition);
+            Alcotest.(check (list (pair string int)))
+              "legacy counters: same restored counters"
+              (Budget.counters_to_assoc resumed.Learn.degradation.Budget.counters)
+              (Budget.counters_to_assoc
+                 resumed_legacy.Learn.degradation.Budget.counters));
   ]
 
 let suite =

@@ -7,7 +7,6 @@
 
 module Pool = Parallel.Pool
 module Par = Parallel.Par
-module Fault = Parallel.Fault
 module Coverage = Learning.Coverage
 module Learn = Learning.Learn
 
@@ -84,8 +83,7 @@ let budget_tests =
 
 let all_events =
   Budget.
-    [ Subsumption_try; Subsumption_restart; Subsumption_exhausted;
-      Coverage_truncated; Coverage_memo_hit; Coverage_memo_miss;
+    [ Subsumption_try; Coverage_truncated; Coverage_memo_hit; Coverage_memo_miss;
       Coverage_inherited; Beam_cut; Candidate_abandoned; Job_skipped;
       Worker_fault; Worker_restarted; Job_quarantined; Checkpoint_written;
       Checkpoint_skipped ]
@@ -95,7 +93,7 @@ let qcheck_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"Budget counters are monotone under any events"
          ~count:200
-         QCheck.(list (pair (int_bound 14) (int_bound 5)))
+         QCheck.(list (pair (int_bound (List.length all_events - 1)) (int_bound 5)))
          (fun events ->
            let b = Budget.create () in
            let prev = ref (Budget.counters b) in
@@ -175,25 +173,25 @@ let fault_tests =
   [
     Alcotest.test_case "tick decisions are seeded and hit the target rate"
       `Quick (fun () ->
-        let f = Fault.create ~p_fault:0.5 ~seed:7 () in
+        let f = Chaos.create ~p_fault:0.5 ~seed:7 () in
         for _ = 1 to 1000 do
-          try Fault.tick f with Fault.Injected _ -> ()
+          try Chaos.tick f with Chaos.Injected _ -> ()
         done;
-        Alcotest.(check int) "tickets" 1000 (Fault.tickets f);
-        let hit = Fault.injected f in
+        Alcotest.(check int) "tickets" 1000 (Chaos.tickets f);
+        let hit = Chaos.injected f in
         Alcotest.(check bool)
           (Printf.sprintf "rate near 0.5 (got %d/1000)" hit)
           true
           (hit > 350 && hit < 650);
         (* same seed, same decisions *)
-        let g = Fault.create ~p_fault:0.5 ~seed:7 () in
+        let g = Chaos.create ~p_fault:0.5 ~seed:7 () in
         for _ = 1 to 1000 do
-          try Fault.tick g with Fault.Injected _ -> ()
+          try Chaos.tick g with Chaos.Injected _ -> ()
         done;
-        Alcotest.(check int) "deterministic" hit (Fault.injected g));
+        Alcotest.(check int) "deterministic" hit (Chaos.injected g));
     Alcotest.test_case "killed pool jobs lose parallelism, never results"
       `Quick (fun () ->
-        let chaos = Fault.create ~p_fault:0.5 ~seed:3 () in
+        let chaos = Chaos.create ~p_fault:0.5 ~seed:3 () in
         Pool.with_pool ~size:2 ~chaos (fun p ->
             let xs = List.init 300 Fun.id in
             (* many small jobs: each dispatches helpers, each helper may die *)
@@ -220,10 +218,10 @@ let fault_tests =
               true
               (s.Pool.dropped > 0);
             Alcotest.(check bool) "at least a quarter of jobs killed" true
-              (4 * Fault.injected chaos >= Fault.tickets chaos);
+              (4 * Chaos.injected chaos >= Chaos.tickets chaos);
             Alcotest.(check bool) "first fault kept for diagnosis" true
               (match Pool.first_fault p with
-              | Some { Pool.exn = Fault.Injected _; _ } -> true
+              | Some { Pool.exn = Chaos.Injected _; _ } -> true
               | _ -> false)));
     Alcotest.test_case "supervision restarts a killed worker" `Quick (fun () ->
         (* size-1 pool, raw tasks (Par wraps exceptions itself, so only a
@@ -357,7 +355,7 @@ let learner_tests =
       "chaos pool: same definition as pool=None, faults counted" `Slow
       (fun () ->
         let plain = learn_uw ~timeout:600. ~seed:5 () in
-        let chaos = Fault.create ~p_fault:0.4 ~seed:11 () in
+        let chaos = Chaos.create ~p_fault:0.4 ~seed:11 () in
         let under_chaos =
           Pool.with_pool ~size:2 ~chaos (fun p ->
               let r = learn_uw ~timeout:600. ~pool:p ~seed:5 () in

@@ -354,7 +354,7 @@ let soak_tests =
       "chaos soak: every job ends in exactly one typed outcome" `Quick
       (fun () ->
         let chaos =
-          Parallel.Fault.create ~p_fault:0.3 ~p_kill:0.15 ~seed:11 ()
+          Chaos.create ~p_fault:0.3 ~p_kill:0.15 ~seed:11 ()
         in
         Parallel.Pool.with_pool ~size:3 ~chaos ~policy:fast_retry
           (fun pool ->
@@ -386,7 +386,7 @@ let soak_tests =
       `Quick (fun () ->
         (* every task kills its worker and the restart backoff is 2s: only
            the budget-interruptible sleep lets this finish fast *)
-        let chaos = Parallel.Fault.create ~p_kill:1.0 ~seed:5 () in
+        let chaos = Chaos.create ~p_kill:1.0 ~seed:5 () in
         let budget = Budget.create () in
         Budget.cancel budget;
         let slow_restarts =

@@ -1,5 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 6) over the synthetic datasets, plus Bechamel
+   evaluation (Section 6) over the synthetic datasets, the ablations of its
+   design choices, the checkpoint and serving experiments, and Bechamel
    micro-benchmarks of the core operations.
 
    Usage:
@@ -8,19 +9,52 @@
      dune exec bench/main.exe -- table5 --data uw,imdb --folds 3 --timeout 30
 
    Experiments: table3 figure1 preprocess table5 table6 ablation-aind
-   ablation-threshold coverage scaling micro. Absolute numbers differ from the paper
-   (our datasets are laptop-scale synthetics; see EXPERIMENTS.md); the
+   ablation-threshold ablation-coverage ablation-search ablation-overlap
+   ablation-noise resilience micro server. Absolute numbers differ from the
+   paper (our datasets are laptop-scale synthetics; see EXPERIMENTS.md); the
    harness prints the paper's value next to each measured one where the
    paper reports one.
 
-   Every experiment additionally records machine-readable metrics; the
-   driver writes them to BENCH_autobias.json at the end of the run so the
-   perf trajectory is tracked across PRs. `--domains N` runs the learner
-   hot paths on an N-worker domain pool (default: sequential). *)
+   Every experiment additionally records machine-readable metrics, written
+   to BENCH_autobias.json at the end of the run.
+   `--domains N` runs the learner hot paths on an N-worker domain pool
+   (default: sequential). Performance is measured by bench/e2e, and the
+   engines' A/B identities are tests (dune runtest). *)
 
 module Dataset = Datasets.Dataset
 module CV = Evaluation.Cross_validation
 module Metrics = Evaluation.Metrics
+module J = Obs.Json
+
+(* Machine-readable results, written at the end of the run as
+
+     { "meta": {..}, "experiments": { "<experiment>": { "<key>": value } },
+       "run_report": {..} }
+
+   An experiment may record several times (one call per dataset x method
+   cell); re-recording a key replaces its value, so every key holds one. *)
+let results : (string * (string * J.t) list) list ref = ref []
+let meta : (string * J.t) list ref = ref []
+let run_report : J.t option ref = ref None
+
+let replace assoc (k, v) =
+  if List.mem_assoc k assoc then
+    List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) assoc
+  else assoc @ [ (k, v) ]
+
+let record experiment metrics =
+  let prev = Option.value ~default:[] (List.assoc_opt experiment !results) in
+  results := replace !results (experiment, List.fold_left replace prev metrics)
+
+let set_meta metrics = meta := List.fold_left replace !meta metrics
+
+let write_results path =
+  J.write path
+    (J.Obj
+       ([ ("meta", J.Obj !meta);
+          ("experiments",
+           J.Obj (List.map (fun (e, m) -> (e, J.Obj m)) !results)) ]
+       @ match !run_report with Some r -> [ ("run_report", r) ] | None -> []))
 
 type options = {
   mutable data : string list;
@@ -103,13 +137,11 @@ let default_scale = function "uw" -> 1.0 | _ -> 0.6
 
 let generate name =
   let scale = Option.value options.scale ~default:(default_scale name) in
-  match name with
-  | "uw" -> Datasets.Uw.generate ~seed:options.seed ~scale ()
-  | "imdb" -> Datasets.Imdb.generate ~seed:options.seed ~scale ()
-  | "hiv" -> Datasets.Hiv.generate ~seed:options.seed ~scale ()
-  | "flt" -> Datasets.Flt.generate ~seed:options.seed ~scale ()
-  | "sys" -> Datasets.Sys_data.generate ~seed:options.seed ~scale ()
-  | s -> invalid_arg ("unknown dataset: " ^ s)
+  match Server.Catalog.generate ~name ~scale ~seed:options.seed with
+  | Ok d -> d
+  | Error e ->
+      Fmt.epr "%s@." (Server.Catalog.error_to_string e);
+      exit 2
 
 let selected_datasets () = List.map (fun n -> (n, generate n)) options.data
 
@@ -135,10 +167,10 @@ let table3 () =
   Fmt.pr "@.generated: %d definitions (manual bias for this dataset: %d)@."
     (Bias.Language.size bi.Autobias.bias)
     (Bias.Language.size d.Dataset.manual_bias);
-  Bench_json.record "table3"
-    [ ("uw.generated_definitions", Bench_json.I (Bias.Language.size bi.Autobias.bias));
-      ("uw.manual_definitions", Bench_json.I (Bias.Language.size d.Dataset.manual_bias));
-      ("uw.bias_time_s", Bench_json.F bi.Autobias.bias_time) ]
+  record "table3"
+    [ ("uw.generated_definitions", J.Int (Bias.Language.size bi.Autobias.bias));
+      ("uw.manual_definitions", J.Int (Bias.Language.size d.Dataset.manual_bias));
+      ("uw.bias_time_s", J.Float bi.Autobias.bias_time) ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: the type graph for UW.                                   *)
@@ -179,13 +211,11 @@ let preprocess () =
             (Relational.Database.total_tuples d.Dataset.db)
             (List.length ind.Discovery.Generate.inds)
             ind.Discovery.Generate.ind_time;
-          Bench_json.record "preprocess"
+          record "preprocess"
             [ (name ^ ".tuples",
-               Bench_json.I (Relational.Database.total_tuples d.Dataset.db));
-              (name ^ ".inds",
-               Bench_json.I (List.length ind.Discovery.Generate.inds));
-              (name ^ ".ind_time_s",
-               Bench_json.F ind.Discovery.Generate.ind_time) ])
+               J.Int (Relational.Database.total_tuples d.Dataset.db));
+              (name ^ ".inds", J.Int (List.length ind.Discovery.Generate.inds));
+              (name ^ ".ind_time_s", J.Float ind.Discovery.Generate.ind_time) ])
     (selected_datasets ())
 
 (* ------------------------------------------------------------------ *)
@@ -239,12 +269,12 @@ let table5 () =
                   method_ d ~seed:options.seed
               in
               let m = result.CV.mean_metrics in
-              Bench_json.record "table5"
-                [ (name ^ "." ^ mname ^ ".precision", Bench_json.F m.Metrics.precision);
-                  (name ^ "." ^ mname ^ ".recall", Bench_json.F m.Metrics.recall);
-                  (name ^ "." ^ mname ^ ".f_measure", Bench_json.F m.Metrics.f_measure);
-                  (name ^ "." ^ mname ^ ".mean_time_s", Bench_json.F result.CV.mean_time);
-                  (name ^ "." ^ mname ^ ".timed_out", Bench_json.B result.CV.any_timed_out) ];
+              record "table5"
+                [ (name ^ "." ^ mname ^ ".precision", J.Float m.Metrics.precision);
+                  (name ^ "." ^ mname ^ ".recall", J.Float m.Metrics.recall);
+                  (name ^ "." ^ mname ^ ".f_measure", J.Float m.Metrics.f_measure);
+                  (name ^ "." ^ mname ^ ".mean_time_s", J.Float result.CV.mean_time);
+                  (name ^ "." ^ mname ^ ".timed_out", J.Bool result.CV.any_timed_out) ];
               Fmt.str "%.2f/%.2f/%.2f %s%s" m.Metrics.precision m.Metrics.recall
                 m.Metrics.f_measure
                 (CV.format_time result.CV.mean_time)
@@ -297,11 +327,11 @@ let table6 () =
                 Autobias.cross_validate ~config:(config ~strategy ())
                   ~k:options.folds Autobias.Auto_bias d ~seed:options.seed
               in
-              Bench_json.record "table6"
+              record "table6"
                 [ (name ^ "." ^ sname ^ ".f_measure",
-                   Bench_json.F result.CV.mean_metrics.Metrics.f_measure);
+                   J.Float result.CV.mean_metrics.Metrics.f_measure);
                   (name ^ "." ^ sname ^ ".mean_time_s",
-                   Bench_json.F result.CV.mean_time) ];
+                   J.Float result.CV.mean_time) ];
               Fmt.str "%.2f %s%s" result.CV.mean_metrics.Metrics.f_measure
                 (CV.format_time result.CV.mean_time)
                 (if result.CV.any_timed_out then " (timeout)" else "")
@@ -337,10 +367,10 @@ let ablation_aind () =
         Metrics.pp_row result.CV.mean_metrics
         (CV.format_time result.CV.mean_time);
       let tag = if use_approximate_inds then "on" else "off" in
-      Bench_json.record "ablation-aind"
+      record "ablation-aind"
         [ ("uw.aind_" ^ tag ^ ".f_measure",
-           Bench_json.F result.CV.mean_metrics.Metrics.f_measure);
-          ("uw.aind_" ^ tag ^ ".mean_time_s", Bench_json.F result.CV.mean_time) ])
+           J.Float result.CV.mean_metrics.Metrics.f_measure);
+          ("uw.aind_" ^ tag ^ ".mean_time_s", J.Float result.CV.mean_time) ])
     [ true; false ]
 
 let ablation_threshold () =
@@ -366,10 +396,10 @@ let ablation_threshold () =
         result.CV.mean_metrics
         (CV.format_time result.CV.mean_time);
       let tag = Printf.sprintf "imdb.t%g" (100. *. ratio) in
-      Bench_json.record "ablation-threshold"
-        [ (tag ^ ".bias_size", Bench_json.I (Bias.Language.size bi.Autobias.bias));
+      record "ablation-threshold"
+        [ (tag ^ ".bias_size", J.Int (Bias.Language.size bi.Autobias.bias));
           (tag ^ ".f_measure",
-           Bench_json.F result.CV.mean_metrics.Metrics.f_measure) ])
+           J.Float result.CV.mean_metrics.Metrics.f_measure) ])
     [ 0.001; 0.05; 0.18; 0.5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -381,7 +411,7 @@ let ablation_coverage () =
   Fmt.pr "Ablation — coverage testing: θ-subsumption on ground BCs vs direct@.";
   Fmt.pr "query execution over the full database (Section 5). The paper argues@.";
   Fmt.pr "SQL-style evaluation of many-literal clauses is too slow; ground-BC@.";
-  Fmt.pr "subsumption amortizes. Both engines run over every UW example.@.";
+  Fmt.pr "subsumption amortizes. Both engines run over every HIV example.@.";
   hr ();
   let d = generate "hiv" in
   let rng = Random.State.make [| options.seed |] in
@@ -411,9 +441,9 @@ let ablation_coverage () =
         "%-22s (%3d literals): subsumption %4d covered in %8.4fs | query %4d covered in %8.4fs@."
         label (Logic.Clause.size clause) n_sub t_sub n_query t_query;
       let tag = if label = "learned clause" then "learned" else "bottom" in
-      Bench_json.record "ablation-coverage"
-        [ ("hiv." ^ tag ^ ".subsumption_s", Bench_json.F t_sub);
-          ("hiv." ^ tag ^ ".query_s", Bench_json.F t_query) ])
+      record "ablation-coverage"
+        [ ("hiv." ^ tag ^ ".subsumption_s", J.Float t_sub);
+          ("hiv." ^ tag ^ ".query_s", J.Float t_query) ])
     [ ("learned clause", crisp); ("raw bottom clause", bottom) ]
 
 (* ------------------------------------------------------------------ *)
@@ -442,9 +472,9 @@ let ablation_search () =
         in
         Fmt.pr "%-5s %-18s %d clauses  %a  %s@." name label
           (List.length definition) Metrics.pp_row m (CV.format_time elapsed);
-        Bench_json.record "ablation-search"
-          [ (name ^ "." ^ label ^ ".f_measure", Bench_json.F m.Metrics.f_measure);
-            (name ^ "." ^ label ^ ".time_s", Bench_json.F elapsed) ];
+        record "ablation-search"
+          [ (name ^ "." ^ label ^ ".f_measure", J.Float m.Metrics.f_measure);
+            (name ^ "." ^ label ^ ".time_s", J.Float elapsed) ];
         Format.pp_print_flush Format.std_formatter ()
       in
       run "armg-beam" (fun cov rng ->
@@ -508,9 +538,9 @@ let ablation_noise () =
       Option.iter
         (fun deg -> Fmt.pr "             degradation: %a@." Budget.pp_degradation deg)
         r.Autobias.degradation;
-      Bench_json.record "ablation-noise"
+      record "ablation-noise"
         [ (Printf.sprintf "uw.noise%g.f_measure" (100. *. fraction),
-           Bench_json.F m.Metrics.f_measure) ];
+           J.Float m.Metrics.f_measure) ];
       Format.pp_print_flush Format.std_formatter ())
     [ 0.0; 0.05; 0.1; 0.2 ]
 
@@ -541,11 +571,11 @@ let ablation_overlap () =
         (Discovery.Overlap_bias.joinable_pairs auto)
         (Discovery.Overlap_bias.joinable_pairs overlap)
         (Discovery.Overlap_bias.joinable_pairs d.Dataset.manual_bias);
-      Bench_json.record "ablation-overlap"
+      record "ablation-overlap"
         [ (name ^ ".autobias_pairs",
-           Bench_json.I (Discovery.Overlap_bias.joinable_pairs auto));
+           J.Int (Discovery.Overlap_bias.joinable_pairs auto));
           (name ^ ".overlap_pairs",
-           Bench_json.I (Discovery.Overlap_bias.joinable_pairs overlap)) ];
+           J.Int (Discovery.Overlap_bias.joinable_pairs overlap)) ];
       Format.pp_print_flush Format.std_formatter ())
     (selected_datasets ());
   (* On perfectly clean domains the two policies coincide; real data has
@@ -578,457 +608,6 @@ let ablation_overlap () =
   Fmt.pr "under overlap typing, student[stud] ~ inPhase[phase]: %b; under AutoBias: %b@."
     (Bias.Language.share_type overlap "student" 0 "inPhase" 1)
     (Bias.Language.share_type auto "student" 0 "inPhase" 1)
-
-(* ------------------------------------------------------------------ *)
-(* Coverage: the incremental coverage engine, cache on vs off.        *)
-(* ------------------------------------------------------------------ *)
-
-(* What a beam step evaluates: the bottom clauses of the first four
-   positives, each followed by its chain of ARMG generalizations against
-   every third positive (newest first). *)
-let armg_candidates (d : Dataset.t) cov ~rng =
-  let acc = ref [] in
-  List.iter
-    (fun seed ->
-      let c =
-        ref (Learning.Bottom_clause.build d.db d.manual_bias ~rng ~example:seed)
-      in
-      acc := !c :: !acc;
-      List.iteri
-        (fun i e ->
-          if i mod 3 = 0 then
-            match Learning.Armg.generalize cov !c ~example:e with
-            | Some c' ->
-                c := c';
-                acc := c' :: !acc
-            | None -> ())
-        d.positives)
-    (Logic.Util.take 4 d.positives);
-  !acc
-
-(* A/B of the incremental coverage engine on the full learner: the same
-   fixed-seed run with the verdict memo on and off. Verdicts are pure, so
-   the learned definitions must be bit-identical (also under a 1-domain
-   pool); the difference is how many subsumption tests actually run —
-   surfaced through the Budget counters — and the wall clock. Monotone
-   propagation (ARMG/reduction inheritance) is on in both modes. *)
-
-let coverage_bench () =
-  hr ();
-  Fmt.pr "Coverage — incremental coverage engine A/B (verdict memo on/off)@.";
-  Fmt.pr "same seed, same learner; definitions must be bit-identical@.";
-  hr ();
-  let d = generate "uw" in
-  let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
-  let run ?pool use_cache =
-    let b = Budget.create () in
-    let rng = Random.State.make [| options.seed; 3 |] in
-    (* pruning off: the A/B below compares subsumption-try counts between
-       memo on/off; the failure-constraint store would skew the comparison.
-       It gets its own experiment ("pruning"). *)
-    let cov =
-      Learning.Coverage.create ~use_cache ~use_pruning:false d.Dataset.db
-        d.Dataset.manual_bias ~rng
-    in
-    let config =
-      { Learning.Learn.default_config with
-        timeout = Some options.timeout; budget = Some b; pool }
-    in
-    let r, elapsed =
-      Obs.Trace.time (fun () ->
-          Learning.Learn.learn ~config cov ~rng ~positives ~negatives)
-    in
-    (r, elapsed, Budget.counters b, Learning.Coverage.cache_stats cov)
-  in
-  let rc, tc, cc, sc = run true in
-  let ru, tu, cu, _ = run false in
-  let render def = Logic.Clause.definition_to_string def in
-  let identical =
-    render rc.Learning.Learn.definition = render ru.Learning.Learn.definition
-  in
-  let rp, _, _, _ = Parallel.Pool.with_pool ~size:1 (fun p -> run ~pool:p true) in
-  let identical_pool =
-    render rc.Learning.Learn.definition = render rp.Learning.Learn.definition
-  in
-  let requests = sc.Learning.Coverage.hits + sc.Learning.Coverage.misses in
-  let hit_rate =
-    if requests = 0 then 0.
-    else float_of_int sc.Learning.Coverage.hits /. float_of_int requests
-  in
-  let tries_ratio =
-    if cc.Budget.subsumption_tries = 0 then 0.
-    else
-      float_of_int cu.Budget.subsumption_tries
-      /. float_of_int cc.Budget.subsumption_tries
-  in
-  Fmt.pr "cache on : %8.3fs  %7d subsumption tries  %7d inherited@." tc
-    cc.Budget.subsumption_tries cc.Budget.coverage_inherited;
-  Fmt.pr "cache off: %8.3fs  %7d subsumption tries  %7d inherited@." tu
-    cu.Budget.subsumption_tries cu.Budget.coverage_inherited;
-  Fmt.pr
-    "memo: %d hits / %d misses (hit rate %.1f%%, %d entries); tries ratio \
-     off/on %.2fx; wall speedup %.2fx@."
-    sc.Learning.Coverage.hits sc.Learning.Coverage.misses (100. *. hit_rate)
-    sc.Learning.Coverage.entries tries_ratio (tu /. tc);
-  Fmt.pr "definitions identical: %s (sequential) / %s (1-domain pool), %d clauses@."
-    (if identical then "YES" else "NO -- DETERMINISM BUG")
-    (if identical_pool then "YES" else "NO -- DETERMINISM BUG")
-    (List.length rc.Learning.Learn.definition);
-  Bench_json.record "coverage"
-    [ ("uw.cached_s", Bench_json.F tc);
-      ("uw.uncached_s", Bench_json.F tu);
-      ("uw.speedup", Bench_json.F (tu /. tc));
-      ("uw.cached_tries", Bench_json.I cc.Budget.subsumption_tries);
-      ("uw.uncached_tries", Bench_json.I cu.Budget.subsumption_tries);
-      ("uw.tries_ratio", Bench_json.F tries_ratio);
-      ("uw.memo_hits", Bench_json.I sc.Learning.Coverage.hits);
-      ("uw.memo_misses", Bench_json.I sc.Learning.Coverage.misses);
-      ("uw.memo_entries", Bench_json.I sc.Learning.Coverage.entries);
-      ("uw.hit_rate", Bench_json.F hit_rate);
-      ("uw.inherited", Bench_json.I cc.Budget.coverage_inherited);
-      ("uw.clauses", Bench_json.I (List.length rc.Learning.Learn.definition));
-      ("uw.identical_on_vs_off", Bench_json.B identical);
-      ("uw.identical_pool1", Bench_json.B identical_pool) ];
-  (* ---- Compiled kernel vs the symbolic oracle, per evaluation ---- *)
-  hr ();
-  Fmt.pr "Coverage — compiled kernel vs the symbolic oracle (per evaluation)@.";
-  hr ();
-  (* One beam-step-shaped workload (bottom clauses plus ARMG generalization
-     chains) against every example's ground BC, each (candidate, ground)
-     pair timed individually on both engines: the kernel the learner runs
-     ([Logic.Compiled.eval]) and the reference it must agree with
-     ([Oracle.eval_prefix]), each behind the same symbolic head binding.
-     Exact percentiles from the sorted arrays — the process-wide Obs
-     histogram (coverage.eval_s) is log-bucketed, so it cannot give an
-     honest A/B. *)
-  let examples = positives @ negatives in
-  let candidates =
-    armg_candidates d
-      (Learning.Coverage.create d.Dataset.db d.Dataset.manual_bias
-         ~rng:(Random.State.make [| options.seed; 3 |]))
-      ~rng:(Random.State.make [| options.seed; 11 |])
-  in
-  let tab = Logic.Compiled.Symtab.create () in
-  let scratch = Logic.Compiled.make_scratch () in
-  let grounds =
-    List.mapi
-      (fun i e ->
-        let body =
-          Logic.Clause.body
-            (Learning.Bottom_clause.build_ground d.Dataset.db
-               d.Dataset.manual_bias
-               ~rng:(Random.State.make [| options.seed; 5; i |])
-               ~example:e)
-        in
-        (e, Logic.Compiled.compile_ground tab ~example:e body,
-         Oracle.ground_of_literals body))
-      examples
-  in
-  let ts_c = ref [] and ts_o = ref [] and verdicts_agree = ref true in
-  List.iter
-    (fun c ->
-      let plan = Logic.Compiled.compile tab c in
-      List.iter
-        (fun (e, cg, og) ->
-          (* min of 2 back-to-back runs per pair drops timer noise *)
-          let time f =
-            let t0 = Unix.gettimeofday () in
-            let v = f () in
-            let t1 = Unix.gettimeofday () in
-            ignore (f ());
-            (v, Float.min (t1 -. t0) (Unix.gettimeofday () -. t1))
-          in
-          let v_c, t_c =
-            time (fun () ->
-                match Learning.Coverage.head_subst c e with
-                | None -> Logic.Compiled.Blocked 0
-                | Some _ -> Logic.Compiled.eval scratch tab plan cg)
-          in
-          let v_o, t_o =
-            time (fun () ->
-                match Learning.Coverage.head_subst c e with
-                | None -> Logic.Compiled.Blocked 0
-                | Some subst -> Oracle.eval_prefix ~subst c og)
-          in
-          ts_c := t_c :: !ts_c;
-          ts_o := t_o :: !ts_o;
-          let agree =
-            match (v_c, v_o) with
-            | Logic.Compiled.Covered w1, Logic.Compiled.Covered w2 ->
-                Logic.Substitution.compare w1 w2 = 0
-            | Logic.Compiled.Blocked i, Logic.Compiled.Blocked j -> i = j
-            | _ -> false
-          in
-          if not agree then verdicts_agree := false)
-        grounds)
-    candidates;
-  let sorted l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a
-  in
-  let a_c = sorted !ts_c and a_s = sorted !ts_o in
-  let verdicts_agree = !verdicts_agree in
-  let pct = Obs.Metrics.percentile in
-  let p50_c = pct a_c 0.50 and p95_c = pct a_c 0.95 in
-  let p50_s = pct a_s 0.50 and p95_s = pct a_s 0.95 in
-  Fmt.pr "per-eval latency over %d evaluations (%d candidates x %d examples):@."
-    (Array.length a_c) (List.length candidates) (List.length examples);
-  Fmt.pr "compiled : p50 %8.1fus  p95 %8.1fus@." (1e6 *. p50_c) (1e6 *. p95_c);
-  Fmt.pr "oracle   : p50 %8.1fus  p95 %8.1fus@." (1e6 *. p50_s) (1e6 *. p95_s);
-  Fmt.pr "speedup  : p50 %7.2fx   p95 %7.2fx; verdicts agree on every pair: %s@."
-    (p50_s /. Float.max p50_c 1e-9)
-    (p95_s /. Float.max p95_c 1e-9)
-    (if verdicts_agree then "YES" else "NO -- SOUNDNESS BUG");
-  Bench_json.record "coverage"
-    [ ("uw.compiled_verdicts_agree", Bench_json.B verdicts_agree);
-      ("uw.eval_count", Bench_json.I (Array.length a_c));
-      ("uw.eval_p50_compiled_s", Bench_json.F p50_c);
-      ("uw.eval_p95_compiled_s", Bench_json.F p95_c);
-      ("uw.eval_p50_symbolic_s", Bench_json.F p50_s);
-      ("uw.eval_p95_symbolic_s", Bench_json.F p95_s);
-      ("uw.eval_p50_speedup", Bench_json.F (p50_s /. Float.max p50_c 1e-9));
-      ("uw.eval_p95_speedup", Bench_json.F (p95_s /. Float.max p95_c 1e-9)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Pruning: the failure-constraint store A/B (prune on vs off).       *)
-(* ------------------------------------------------------------------ *)
-
-(* The same fixed-seed full-learner run with the failure-constraint store
-   on and off. A stored signature is an exact verdict cache (the prefix up
-   to and including the blocking literal determines the capped evaluator's
-   verdict), so pruning is verdict-preserving: the definitions must be
-   bit-identical, sequentially and under a 2-domain pool. What the store
-   buys is fewer subsumption tries — uw.tries_ratio = tries(on)/tries(off),
-   gated at ≤ 0.8 in CI — plus whole candidates skipped without any
-   evaluation (Budget.Candidate_pruned). *)
-
-let pruning_bench () =
-  hr ();
-  Fmt.pr "Pruning — failure-constraint store A/B (prune on/off)@.";
-  Fmt.pr "same seed, same learner; definitions must be bit-identical@.";
-  hr ();
-  let d = generate "uw" in
-  let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
-  let run ?pool use_pruning =
-    let b = Budget.create () in
-    let rng = Random.State.make [| options.seed; 3 |] in
-    let cov =
-      Learning.Coverage.create ~use_pruning d.Dataset.db d.Dataset.manual_bias
-        ~rng
-    in
-    let config =
-      { Learning.Learn.default_config with
-        timeout = Some options.timeout; budget = Some b; pool }
-    in
-    let r, elapsed =
-      Obs.Trace.time (fun () ->
-          Learning.Learn.learn ~config cov ~rng ~positives ~negatives)
-    in
-    (r, elapsed, Budget.counters b, Learning.Coverage.prune_stats cov)
-  in
-  let rp, tp, cp, sp = run true in
-  let ru, tu, cu, _ = run false in
-  let render def = Logic.Clause.definition_to_string def in
-  let identical =
-    render rp.Learning.Learn.definition = render ru.Learning.Learn.definition
-  in
-  let r2, _, _, _ = Parallel.Pool.with_pool ~size:2 (fun p -> run ~pool:p true) in
-  let identical_pool =
-    render rp.Learning.Learn.definition = render r2.Learning.Learn.definition
-  in
-  let tries_ratio =
-    if cu.Budget.subsumption_tries = 0 then 1.
-    else
-      float_of_int cp.Budget.subsumption_tries
-      /. float_of_int cu.Budget.subsumption_tries
-  in
-  let hit_rate =
-    if sp.Learning.Coverage.probes = 0 then 0.
-    else
-      float_of_int sp.Learning.Coverage.hits
-      /. float_of_int sp.Learning.Coverage.probes
-  in
-  Fmt.pr "prune on : %8.3fs  %7d subsumption tries  %5d candidates pruned@."
-    tp cp.Budget.subsumption_tries cp.Budget.candidates_pruned;
-  Fmt.pr "prune off: %8.3fs  %7d subsumption tries@." tu
-    cu.Budget.subsumption_tries;
-  Fmt.pr
-    "store: %d constraints learned; %d/%d probe hits (%.1f%%); tries ratio \
-     on/off %.2fx; wall speedup %.2fx@."
-    sp.Learning.Coverage.constraints sp.Learning.Coverage.hits
-    sp.Learning.Coverage.probes (100. *. hit_rate) tries_ratio (tu /. tp);
-  Fmt.pr "definitions identical: %s (sequential) / %s (2-domain pool), %d clauses@."
-    (if identical then "YES" else "NO -- SOUNDNESS BUG")
-    (if identical_pool then "YES" else "NO -- SOUNDNESS BUG")
-    (List.length rp.Learning.Learn.definition);
-  Bench_json.record "pruning"
-    [ ("uw.pruned_s", Bench_json.F tp);
-      ("uw.unpruned_s", Bench_json.F tu);
-      ("uw.prune_speedup", Bench_json.F (tu /. tp));
-      ("uw.pruned_tries", Bench_json.I cp.Budget.subsumption_tries);
-      ("uw.unpruned_tries", Bench_json.I cu.Budget.subsumption_tries);
-      ("uw.tries_ratio", Bench_json.F tries_ratio);
-      ("uw.candidates_pruned", Bench_json.I cp.Budget.candidates_pruned);
-      ("uw.constraints_learned", Bench_json.I cp.Budget.constraints_learned);
-      ("uw.prune_probes", Bench_json.I sp.Learning.Coverage.probes);
-      ("uw.prune_hits", Bench_json.I sp.Learning.Coverage.hits);
-      ("uw.prune_hit_rate", Bench_json.F hit_rate);
-      ("uw.prune_constraints", Bench_json.I sp.Learning.Coverage.constraints);
-      ("uw.clauses", Bench_json.I (List.length rp.Learning.Learn.definition));
-      ("uw.prune_identical",
-       Bench_json.B (identical && identical_pool)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Scaling: the beam-evaluation workload across domain-pool sizes.    *)
-(* ------------------------------------------------------------------ *)
-
-(* The workload mirrors one beam step of the learner: a set of ARMG-derived
-   candidate clauses, each counted against every training example through
-   the warmed coverage cache — the path that dominates learning cost
-   (Section 5). The same workload runs sequentially and on pools of
-   1/2/4/N domains; coverage is deterministic per example, so every
-   configuration must produce identical counts, and the wall-clock ratio is
-   the speedup. A full Learn.learn determinism check (pool = None vs a
-   1-domain pool) closes the experiment. *)
-
-let scaling () =
-  hr ();
-  Fmt.pr "Scaling — parallel beam-candidate evaluation (domain pools)@.";
-  Fmt.pr "host: %d core(s) recommended by the runtime; pool sizes 1/2/4/N@."
-    (Domain.recommended_domain_count ());
-  hr ();
-  let d = generate "uw" in
-  let rng = Random.State.make [| options.seed |] in
-  (* Uncached context for the pool timings: the repeated passes below would
-     otherwise be answered from the verdict memo and measure lock-striped
-     table probes instead of parallel subsumption. The memo's own effect is
-     measured separately at the end. *)
-  let cov =
-    Learning.Coverage.create ~use_cache:false ~use_pruning:false
-      d.Dataset.db d.Dataset.manual_bias ~rng
-  in
-  let positives = d.Dataset.positives and negatives = d.Dataset.negatives in
-  let examples = positives @ negatives in
-  Learning.Coverage.warm cov examples;
-  let candidates = armg_candidates d cov ~rng in
-  Fmt.pr "workload: %d candidates x %d examples per evaluation pass@."
-    (List.length candidates) (List.length examples);
-  let eval_all pool =
-    Parallel.Par.parallel_map ?pool
-      (fun c -> Learning.Coverage.count cov c examples)
-      candidates
-  in
-  (* min of 3 passes: the workload is short; the min discards warmup and
-     scheduler noise *)
-  let best_of_3 f =
-    let once () = Obs.Trace.time f in
-    let r1, t1 = once () in
-    let _, t2 = once () in
-    let _, t3 = once () in
-    (r1, min t1 (min t2 t3))
-  in
-  let baseline, t_seq = best_of_3 (fun () -> eval_all None) in
-  Fmt.pr "%-12s %8.4fs@." "sequential" t_seq;
-  let sizes =
-    List.sort_uniq compare
-      (1 :: 2 :: 4
-      :: (match options.domains with
-         | Some n -> [ n ]
-         | None -> [ Parallel.Pool.default_size () ]))
-  in
-  let timings =
-    List.map
-      (fun size ->
-        Parallel.Pool.with_pool ~size (fun p ->
-            let counts, t = best_of_3 (fun () -> eval_all (Some p)) in
-            if counts <> baseline then
-              Fmt.pr "!! counts diverged at %d domains (determinism bug)@." size;
-            (size, t, counts = baseline)))
-      sizes
-  in
-  let t1 =
-    match timings with (1, t, _) :: _ -> t | _ -> assert false
-  in
-  List.iter
-    (fun (size, t, _) ->
-      Fmt.pr "%-12s %8.4fs  speedup vs 1 domain: %.2fx@."
-        (Printf.sprintf "%d domain(s)" size)
-        t (t1 /. t))
-    timings;
-  (* Full-learner determinism: pool = None and a 1-domain pool must learn
-     the identical definition on a fixed seed. *)
-  let learn_with pool =
-    let rng = Random.State.make [| options.seed; 7 |] in
-    let cov =
-      Learning.Coverage.create d.Dataset.db d.Dataset.manual_bias ~rng
-    in
-    let config =
-      { Learning.Learn.default_config with
-        timeout = Some options.timeout; pool }
-    in
-    (Learning.Learn.learn ~config cov ~rng ~positives ~negatives)
-      .Learning.Learn.definition
-  in
-  let def_seq = learn_with None in
-  let def_par =
-    Parallel.Pool.with_pool ~size:1 (fun p -> learn_with (Some p))
-  in
-  let identical =
-    Logic.Clause.definition_to_string def_seq
-    = Logic.Clause.definition_to_string def_par
-  in
-  Fmt.pr "Learn.learn sequential == 1-domain pool: %s (%d clauses)@."
-    (if identical then "IDENTICAL" else "DIVERGED")
-    (List.length def_seq);
-  (* Verdict-memo A/B over the same workload: three evaluation passes (a
-     beam re-scores overlapping candidates constantly), counting actual
-     subsumption tests through the Budget counters. With the memo, repeat
-     passes are all hits, so the off/on ratio must clear ~2x. *)
-  let memo_tries use_cache =
-    let b = Budget.create () in
-    let rng = Random.State.make [| options.seed |] in
-    (* pruning off: repeat passes would otherwise be answered by the
-       failure-constraint store, contaminating the memo's off/on ratio *)
-    let cov =
-      Learning.Coverage.create ~use_cache ~use_pruning:false ~budget:b
-        d.Dataset.db d.Dataset.manual_bias ~rng
-    in
-    Learning.Coverage.warm cov examples;
-    let counts = ref [] in
-    for _ = 1 to 3 do
-      counts :=
-        List.map (fun c -> Learning.Coverage.count cov c examples) candidates
-    done;
-    (!counts, (Budget.counters b).Budget.subsumption_tries)
-  in
-  let counts_on, tries_on = memo_tries true in
-  let counts_off, tries_off = memo_tries false in
-  let memo_ratio =
-    if tries_on = 0 then 0. else float_of_int tries_off /. float_of_int tries_on
-  in
-  if counts_on <> counts_off then
-    Fmt.pr "!! memo changed coverage counts (determinism bug)@.";
-  Fmt.pr
-    "verdict memo over 3 passes: %d tries with cache, %d without (%.2fx fewer)@."
-    tries_on tries_off memo_ratio;
-  let all_deterministic = List.for_all (fun (_, _, ok) -> ok) timings in
-  Bench_json.record "scaling"
-    ([ ("candidates", Bench_json.I (List.length candidates));
-       ("examples", Bench_json.I (List.length examples));
-       ("cores_recommended", Bench_json.I (Domain.recommended_domain_count ()));
-       ("sequential_s", Bench_json.F t_seq) ]
-    @ List.concat_map
-        (fun (size, t, _) ->
-          [ (Printf.sprintf "domains%d_s" size, Bench_json.F t);
-            (Printf.sprintf "speedup_%dv1" size, Bench_json.F (t1 /. t)) ])
-        timings
-    @ [ ("counts_deterministic", Bench_json.B all_deterministic);
-        ("learn_identical_seq_vs_1domain", Bench_json.B identical);
-        ("memo_tries_on", Bench_json.I tries_on);
-        ("memo_tries_off", Bench_json.I tries_off);
-        ("memo_tries_ratio", Bench_json.F memo_ratio);
-        ("memo_counts_identical", Bench_json.B (counts_on = counts_off)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: checkpoint overhead and recovery time.                 *)
@@ -1119,15 +698,15 @@ let resilience_bench () =
   Fmt.pr "definitions identical: checkpointed %s / resumed %s@."
     (if checkpointed_identical then "YES" else "NO -- CHECKPOINT PERTURBED THE RUN")
     (if resume_identical then "YES" else "NO -- RESUME DIVERGED");
-  Bench_json.record "resilience"
-    [ ("uw.baseline_s", Bench_json.F t_base);
-      ("uw.checkpointed_s", Bench_json.F t_ck);
-      ("uw.checkpoint_overhead_pct", Bench_json.F overhead_pct);
-      ("uw.checkpoint_bytes", Bench_json.I ck_bytes);
-      ("uw.checkpoints_written", Bench_json.I n_checkpoints);
-      ("uw.recovery_first_clause_s", Bench_json.F recovery_s);
-      ("uw.checkpointed_identical", Bench_json.B checkpointed_identical);
-      ("uw.resume_identical", Bench_json.B resume_identical) ]
+  record "resilience"
+    [ ("uw.baseline_s", J.Float t_base);
+      ("uw.checkpointed_s", J.Float t_ck);
+      ("uw.checkpoint_overhead_pct", J.Float overhead_pct);
+      ("uw.checkpoint_bytes", J.Int ck_bytes);
+      ("uw.checkpoints_written", J.Int n_checkpoints);
+      ("uw.recovery_first_clause_s", J.Float recovery_s);
+      ("uw.checkpointed_identical", J.Bool checkpointed_identical);
+      ("uw.resume_identical", J.Bool resume_identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serving: closed-loop load generation against the learning daemon.  *)
@@ -1255,27 +834,25 @@ let server_bench () =
   let single_identical = direct_definition = served_definition in
   Fmt.pr "served definition identical to direct call: %s@."
     (if single_identical then "YES" else "NO -- SERVING PERTURBED LEARNING");
-  Bench_json.record "server"
-    [ ("server.jobs", Bench_json.I summary.Server.Loadgen.jobs);
-      ("server.clients", Bench_json.I summary.Server.Loadgen.clients);
-      ("server.completed", Bench_json.I summary.Server.Loadgen.completed);
-      ("server.degraded", Bench_json.I summary.Server.Loadgen.degraded);
-      ("server.rejected", Bench_json.I summary.Server.Loadgen.rejected);
-      ("server.reject_events",
-       Bench_json.I summary.Server.Loadgen.reject_events);
-      ("server.quarantined", Bench_json.I summary.Server.Loadgen.quarantined);
-      ("server.failed", Bench_json.I summary.Server.Loadgen.failed);
-      ("server.retries", Bench_json.I stats.Server.Daemon.retries);
-      ("server.wall_s", Bench_json.F summary.Server.Loadgen.wall_s);
-      ("server.p50_latency_s", Bench_json.F summary.Server.Loadgen.p50_s);
-      ("server.p95_latency_s", Bench_json.F summary.Server.Loadgen.p95_s);
-      ("server.p99_latency_s", Bench_json.F summary.Server.Loadgen.p99_s);
-      ("server.reject_rate", Bench_json.F summary.Server.Loadgen.reject_rate);
-      ("server.outcomes_accounted",
-       Bench_json.B summary.Server.Loadgen.accounted);
-      ("server.chaos_ticks", Bench_json.I chaos_ticks);
-      ("server.chaos_fired", Bench_json.I chaos_fired);
-      ("server.single_identical", Bench_json.B single_identical) ]
+  record "server"
+    [ ("server.jobs", J.Int summary.Server.Loadgen.jobs);
+      ("server.clients", J.Int summary.Server.Loadgen.clients);
+      ("server.completed", J.Int summary.Server.Loadgen.completed);
+      ("server.degraded", J.Int summary.Server.Loadgen.degraded);
+      ("server.rejected", J.Int summary.Server.Loadgen.rejected);
+      ("server.reject_events", J.Int summary.Server.Loadgen.reject_events);
+      ("server.quarantined", J.Int summary.Server.Loadgen.quarantined);
+      ("server.failed", J.Int summary.Server.Loadgen.failed);
+      ("server.retries", J.Int stats.Server.Daemon.retries);
+      ("server.wall_s", J.Float summary.Server.Loadgen.wall_s);
+      ("server.p50_latency_s", J.Float summary.Server.Loadgen.p50_s);
+      ("server.p95_latency_s", J.Float summary.Server.Loadgen.p95_s);
+      ("server.p99_latency_s", J.Float summary.Server.Loadgen.p99_s);
+      ("server.reject_rate", J.Float summary.Server.Loadgen.reject_rate);
+      ("server.outcomes_accounted", J.Bool summary.Server.Loadgen.accounted);
+      ("server.chaos_ticks", J.Int chaos_ticks);
+      ("server.chaos_fired", J.Int chaos_fired);
+      ("server.single_identical", J.Bool single_identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the core operations.                  *)
@@ -1372,8 +949,8 @@ let micro () =
       if ns >= 1e6 then Fmt.pr "%-34s %10.3f ms/run@." name (ns /. 1e6)
       else Fmt.pr "%-34s %10.1f ns/run@." name ns)
     rows;
-  Bench_json.record "micro"
-    (List.map (fun (name, ns) -> (name ^ ".ns_per_run", Bench_json.F ns)) rows)
+  record "micro"
+    (List.map (fun (name, ns) -> (name ^ ".ns_per_run", J.Float ns)) rows)
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                            *)
@@ -1392,9 +969,6 @@ let experiments =
     ("ablation-search", ablation_search);
     ("ablation-overlap", ablation_overlap);
     ("ablation-noise", ablation_noise);
-    ("coverage", coverage_bench);
-    ("pruning", pruning_bench);
-    ("scaling", scaling);
     ("resilience", resilience_bench);
     ("micro", micro);
     (* keep server last: it clears the chaos registry for its identity
@@ -1407,6 +981,10 @@ let usage () =
     "usage: main.exe [EXPERIMENT..] [--data a,b,..] [--folds N] [--timeout S] [--seed N] [--scale F] [--domains N] [--chaos P] [--chaos-layers L,..] [--chaos-kill P] [--deadline S] [--trace FILE.json] [--metrics FILE.json]@.";
   Fmt.pr "experiments: %s (default: all)@."
     (String.concat " " (List.map fst experiments));
+  Fmt.pr
+    "every run writes the metrics of the experiments it ran to\n\
+     BENCH_autobias.json; speed comparisons belong to bench/e2e\n\
+     (sh bench/e2e/run.sh run --seed 42)@.";
   Fmt.pr
     "--domains N runs the learner's hot paths on an N-worker domain pool@.";
   Fmt.pr
@@ -1480,43 +1058,22 @@ let () =
   let chosen = if chosen = [] then List.map fst experiments else chosen in
   (match options.chaos_layers with
   | Some layers ->
-      let layers =
-        String.split_on_char ',' layers
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
       Chaos.configure ?p_kill:options.chaos_kill
         ~p_fault:(Option.value options.chaos ~default:0.)
-        ~seed:options.seed layers
+        ~seed:options.seed (Chaos.parse_layers layers)
   | None -> ());
   if options.trace <> None then Obs.Trace.enable ();
-  (* Provenance: the regression sentinel compares history lines across
-     runs, so every line must say which commit/host/toolchain produced it.
-     Best-effort — a bench run outside a git checkout still benches. *)
-  let git_commit =
-    try
-      let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-      let line = try String.trim (input_line ic) with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ -> "unknown"
-    with _ -> "unknown"
-  in
-  Bench_json.set_meta
-    [ ("seed", Bench_json.I options.seed);
-      ("folds", Bench_json.I options.folds);
-      ("timeout_s", Bench_json.F options.timeout);
-      ("data", Bench_json.S (String.concat "," options.data));
+  set_meta
+    [ ("seed", J.Int options.seed);
+      ("folds", J.Int options.folds);
+      ("timeout_s", J.Float options.timeout);
+      ("data", J.Str (String.concat "," options.data));
       ("domains",
        match options.domains with
-       | Some n -> Bench_json.I n
-       | None -> Bench_json.S "sequential");
-      ("cores_recommended", Bench_json.I (Domain.recommended_domain_count ()));
-      ("git_commit", Bench_json.S git_commit);
-      ("hostname", Bench_json.S (Unix.gethostname ()));
-      ("ocaml_version", Bench_json.S Sys.ocaml_version);
-      ("timestamp_s", Bench_json.F (Unix.gettimeofday ()));
-      ("experiments", Bench_json.S (String.concat "," chosen)) ];
+       | Some n -> J.Int n
+       | None -> J.Str "sequential");
+      ("cores_recommended", J.Int (Domain.recommended_domain_count ()));
+      ("experiments", J.Str (String.concat "," chosen)) ];
   let completed = ref [] in
   let failed = ref [] in
   (* Whatever happens below — a failing experiment, a crash in the summary
@@ -1527,18 +1084,13 @@ let () =
     ~finally:(fun () ->
       (* overwrite the pre-run value (the request) with what actually
          ran — set_meta replaces by key *)
-      Bench_json.set_meta
-        [ ("experiments",
-           Bench_json.S (String.concat "," (List.rev !completed)));
-          ("experiments_failed",
-           Bench_json.S
+      set_meta
+        [ ("experiments", J.Str (String.concat "," (List.rev !completed)));
+          ("experiments_failed", J.Str
              (String.concat "; "
                 (List.rev_map (fun (n, m) -> n ^ ": " ^ m) !failed))) ];
-      Bench_json.write "BENCH_autobias.json";
-      Bench_json.append_history "BENCH_history.jsonl";
-      Fmt.pr
-        "@.machine-readable metrics written to BENCH_autobias.json (history \
-         line appended to BENCH_history.jsonl)@.")
+      write_results "BENCH_autobias.json";
+      Fmt.pr "@.machine-readable metrics written to BENCH_autobias.json@.")
   @@ fun () ->
   let (), total =
     Obs.Trace.time (fun () ->
@@ -1562,9 +1114,9 @@ let () =
             Fmt.pr "@.pool: %d domains, %d tasks run, %d faults dropped@."
               s.Parallel.Pool.size s.Parallel.Pool.tasks_run
               s.Parallel.Pool.dropped;
-            Bench_json.set_meta
-              [ ("pool_tasks_run", Bench_json.I s.Parallel.Pool.tasks_run);
-                ("pool_dropped", Bench_json.I s.Parallel.Pool.dropped) ];
+            set_meta
+              [ ("pool_tasks_run", J.Int s.Parallel.Pool.tasks_run);
+                ("pool_dropped", J.Int s.Parallel.Pool.dropped) ];
             Parallel.Pool.shutdown p
         | None -> ())
   in
@@ -1572,7 +1124,7 @@ let () =
   | Some b ->
       Fmt.pr "budget: %a@." Budget.pp_degradation (Budget.degradation b)
   | None -> ());
-  Bench_json.set_meta [ ("total_bench_time_s", Bench_json.F total) ];
+  set_meta [ ("total_bench_time_s", J.Float total) ];
   (* The structured run report — config, degradation, metrics snapshot and
      per-phase timings — is always embedded in BENCH_autobias.json;
      --metrics also writes it standalone. *)
@@ -1587,7 +1139,7 @@ let () =
       ?degradation:(Option.map Budget.degradation !the_budget)
       ()
   in
-  Bench_json.set_report (Obs.Json.to_string (Obs.Run_report.to_json report));
+  run_report := Some (Obs.Run_report.to_json report);
   Option.iter
     (fun path ->
       Obs.Run_report.write report path;

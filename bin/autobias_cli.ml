@@ -11,13 +11,12 @@ open Cmdliner
 
 (* ---------------- shared arguments ---------------- *)
 
-let dataset_of_name ~scale ~seed = function
-  | "uw" -> Datasets.Uw.generate ~seed ~scale ()
-  | "imdb" -> Datasets.Imdb.generate ~seed ~scale ()
-  | "hiv" -> Datasets.Hiv.generate ~seed ~scale ()
-  | "flt" -> Datasets.Flt.generate ~seed ~scale ()
-  | "sys" -> Datasets.Sys_data.generate ~seed ~scale ()
-  | s -> invalid_arg ("unknown dataset: " ^ s)
+let dataset_of_name ~scale ~seed name =
+  match Server.Catalog.generate ~name ~scale ~seed with
+  | Ok d -> d
+  | Error e ->
+      Fmt.epr "%s@." (Server.Catalog.error_to_string e);
+      exit 2
 
 let dataset_arg =
   let doc = "Dataset: uw, imdb, hiv, flt or sys." in
@@ -116,13 +115,11 @@ let kill_after_arg =
   in
   Arg.(value & opt (some int) None & info [ "kill-after-clause" ] ~docv:"K" ~doc)
 
-let config ?(coverage_cache = true) ?(pruning = true) ~strategy ~timeout () =
+let config ~strategy ~timeout () =
   {
     Autobias.default_config with
     strategy = Sampling.Strategy.of_string strategy;
     timeout = Some timeout;
-    coverage_cache;
-    pruning;
   }
 
 let trace_arg =
@@ -205,24 +202,6 @@ let with_observability ~trace ~events ~funnel ~metrics ~name ~config k =
         ~note_degradation:(fun d -> degradation := Some d)
         ~note_extra:(fun kv -> extra := kv :: !extra))
 
-let no_cache_arg =
-  let doc =
-    "Disable the coverage-verdict memo table (A/B measurement). Verdicts \
-     are pure, so the learned definition is bit-identical with and without \
-     the cache on a fixed seed; only the amount of subsumption work \
-     changes."
-  in
-  Arg.(value & flag & info [ "no-coverage-cache" ] ~doc)
-
-let no_prune_arg =
-  let doc =
-    "Disable the failure-constraint pruning store (escape hatch / A/B \
-     baseline). Pruning replays exact cached verdicts, so the learned \
-     definition is bit-identical with and without it on a fixed seed; only \
-     the number of subsumption tries changes."
-  in
-  Arg.(value & flag & info [ "no-prune" ] ~doc)
-
 (* Build the budget / pool a command asked for and pass them down; the pool
    is shut down (domains joined) before returning, also on exceptions.
    [chaos_layers] installs per-layer injectors first, so the pool picks up
@@ -237,14 +216,9 @@ let no_prune_arg =
 let with_resources ~seed ~deadline ~domains ~chaos ~chaos_layers ~chaos_kill k =
   (match chaos_layers with
   | Some layers ->
-      let layers =
-        String.split_on_char ',' layers
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
       Chaos.configure ?p_kill:chaos_kill
         ~p_fault:(Option.value chaos ~default:0.)
-        ~seed layers
+        ~seed (Chaos.parse_layers layers)
   | None -> ());
   let budget = Budget.create ?deadline () in
   let interrupted = ref false in
@@ -386,8 +360,7 @@ let load_definition path =
 let learn_cmd =
   let run dataset_name method_name strategy scale seed timeout deadline domains
       chaos chaos_layers chaos_kill checkpoint checkpoint_every resume
-      kill_after no_cache no_prune cv show_bias output trace events
-      funnel metrics =
+      kill_after cv show_bias output trace events funnel metrics =
     let dataset = dataset_of_name ~scale ~seed dataset_name in
     let method_ = Autobias.method_of_string method_name in
     let report_config =
@@ -411,11 +384,7 @@ let learn_cmd =
     @@ fun ~budget pool ->
     (* --kill-after-clause cancels through the budget, which
        [with_resources] now always provides (signal handling needs it). *)
-    let config =
-      { (config ~coverage_cache:(not no_cache) ~pruning:(not no_prune)
-           ~strategy ~timeout ())
-        with budget; pool }
-    in
+    let config = { (config ~strategy ~timeout ()) with budget; pool } in
     let note_resilience () =
       List.iter note_extra (chaos_extra () @ pool_extra pool @ csv_extra ())
     in
@@ -559,9 +528,8 @@ let learn_cmd =
       const run $ dataset_arg $ method_arg $ strategy_arg $ scale_arg $ seed_arg
       $ timeout_arg $ deadline_arg $ domains_arg $ chaos_arg $ chaos_layers_arg
       $ chaos_kill_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ kill_after_arg $ no_cache_arg $ no_prune_arg $ cv_arg
-      $ show_bias_arg
-      $ output_arg $ trace_arg $ events_arg $ funnel_arg $ metrics_arg)
+      $ kill_after_arg $ cv_arg $ show_bias_arg $ output_arg $ trace_arg
+      $ events_arg $ funnel_arg $ metrics_arg)
 
 (* ---------------- bias ---------------- *)
 

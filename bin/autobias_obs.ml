@@ -1,17 +1,12 @@
-(* Offline observability analyzer and bench regression sentinel.
+(* Offline observability analyzer.
 
      autobias_obs trace FILE [--job ID]    per-phase breakdown of a Chrome
                                            trace export; slice by job id
      autobias_obs report FILE [FILE2]      print (or diff) Obs run reports
-     autobias_obs gate --history FILE      compare the newest bench history
-                  [--baseline FILE]        line against the committed
-                                           baseline; exit 1 on regression
 
    Everything here is read-only over artifacts the instrumented binaries
-   already write: the trace JSON from --trace, the run report from
-   --metrics/--report, and the append-only BENCH_history.jsonl the bench
-   driver grows one line per run. The gate is the piece CI runs: a bench
-   regression fails the build instead of silently shipping. *)
+   already write: the trace JSON from --trace and the run report from
+   --metrics/--report. *)
 
 open Cmdliner
 
@@ -34,10 +29,6 @@ let num_of = function
   | Obs.Json.Int i -> Some (float_of_int i)
   | Obs.Json.Float f -> Some f
   | _ -> None
-
-let value_to_string = function
-  | Obs.Json.Str s -> s
-  | j -> Obs.Json.to_string j
 
 (* {2 trace — reconstruct spans from the B/E event stream}
 
@@ -254,97 +245,6 @@ let report_cmd file file2 =
   | None -> print_report file a
   | Some f2 -> diff_reports file a f2 (parse_file f2)
 
-(* {2 gate — the bench regression sentinel}
-
-   Reads the newest line of the append-only bench history and applies the
-   committed baseline rules: {"experiment", "metric", and one of "min"
-   (value must be >= min), "max" (value must be <= max) or "equals"
-   (exact match, used for the bit-identity booleans)}. A missing
-   experiment or metric is itself a failure — a bench run that stopped
-   reporting a gated number must not pass silently. *)
-
-let last_line path =
-  let lines =
-    String.split_on_char '\n' (read_file path)
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match List.rev lines with
-  | [] -> die "%s: empty history — run the bench first" path
-  | last :: _ -> last
-
-let gate_cmd history baseline =
-  let entry =
-    match Obs.Json.parse (last_line history) with
-    | Ok j -> j
-    | Error msg -> die "%s: newest line is not valid JSON: %s" history msg
-  in
-  (match member "meta" entry with
-  | Some meta ->
-      let f k =
-        Option.value ~default:"?"
-          (Option.map value_to_string (member k meta))
-      in
-      Printf.printf "gating newest entry: commit %s on %s (%s cores)\n"
-        (f "git_commit") (f "hostname")
-        (f "cores_recommended")
-  | None -> ());
-  let rules =
-    match member "rules" (parse_file baseline) with
-    | Some (Obs.Json.List l) -> l
-    | _ -> die "%s: no rules array" baseline
-  in
-  let failures = ref 0 in
-  let check rule =
-    let get k = member k rule in
-    let experiment =
-      Option.value ~default:"?" (Option.bind (get "experiment") str_of)
-    in
-    let metric =
-      Option.value ~default:"?" (Option.bind (get "metric") str_of)
-    in
-    let value =
-      Option.bind (member "experiments" entry) (fun exps ->
-          Option.bind (member experiment exps) (member metric))
-    in
-    let label = Printf.sprintf "%s.%s" experiment metric in
-    let fail reason =
-      incr failures;
-      Printf.printf "  FAIL %-42s %s\n" label reason
-    in
-    let ok detail = Printf.printf "  ok   %-42s %s\n" label detail in
-    match value with
-    | None -> fail "metric missing from newest bench entry"
-    | Some v -> (
-        match (get "min", get "max", get "equals") with
-        | Some bound, _, _ -> (
-            match (num_of v, num_of bound) with
-            | Some x, Some m when x >= m ->
-                ok (Printf.sprintf "= %g (min %g)" x m)
-            | Some x, Some m ->
-                fail (Printf.sprintf "= %g, below min %g" x m)
-            | _ -> fail "not a number")
-        | None, Some bound, _ -> (
-            match (num_of v, num_of bound) with
-            | Some x, Some m when x <= m ->
-                ok (Printf.sprintf "= %g (max %g)" x m)
-            | Some x, Some m ->
-                fail (Printf.sprintf "= %g, above max %g" x m)
-            | _ -> fail "not a number")
-        | None, None, Some want ->
-            if v = want then ok (Printf.sprintf "= %s" (value_to_string v))
-            else
-              fail
-                (Printf.sprintf "= %s, wanted %s" (value_to_string v)
-                   (value_to_string want))
-        | None, None, None -> fail "rule has no min/max/equals")
-  in
-  List.iter check rules;
-  if !failures > 0 then begin
-    Printf.printf "gate: %d regression(s) against %s\n" !failures baseline;
-    exit 1
-  end
-  else Printf.printf "gate: all %d rules pass\n" (List.length rules)
-
 (* {2 cmdliner wiring} *)
 
 let trace_term =
@@ -378,26 +278,9 @@ let report_term =
   in
   Term.(const report_cmd $ file $ file2)
 
-let gate_term =
-  let history =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:"Append-only bench history (BENCH_history.jsonl).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench/BENCH_baseline.json"
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Committed baseline rules to gate against.")
-  in
-  Term.(const gate_cmd $ history $ baseline)
-
 let () =
   let sub name doc term = Cmd.v (Cmd.info name ~doc) term in
-  let doc = "offline trace/report analyzer and bench regression sentinel" in
+  let doc = "offline trace and run-report analyzer" in
   let info = Cmd.info "autobias_obs" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
@@ -405,6 +288,4 @@ let () =
           [
             sub "trace" "per-phase breakdown of a trace export" trace_term;
             sub "report" "print or diff Obs run reports" report_term;
-            sub "gate" "gate the newest bench entry against the baseline"
-              gate_term;
           ]))

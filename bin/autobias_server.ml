@@ -37,14 +37,9 @@ let configure_chaos ~chaos ~chaos_layers ~chaos_kill ~seed =
   Chaos.from_env ();
   match chaos_layers with
   | Some layers ->
-      let layers =
-        String.split_on_char ',' layers
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
       Chaos.configure ?p_kill:chaos_kill
         ~p_fault:(Option.value chaos ~default:0.)
-        ~seed layers
+        ~seed (Chaos.parse_layers layers)
   | None -> ()
 
 let serve domains max_in_flight max_queue default_deadline max_attempts seed

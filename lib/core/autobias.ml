@@ -56,12 +56,12 @@ type config = {
   coverage_cache : bool;
       (** memoize coverage verdicts in the scoring context (default [true]);
           verdicts are pure, so results are identical either way —
-          [false] ([--no-coverage-cache]) exists for A/B measurement *)
+          [false] exists for A/B measurement *)
   pruning : bool;
       (** learn failure constraints from rejected candidates and probe them
           before evaluating (default [true]); verdict-preserving, so the
-          learned definition is bit-identical either way — [false]
-          ([--no-prune]) is the escape hatch / A/B baseline *)
+          learned definition is bit-identical either way — [false] is the
+          A/B baseline *)
   budget : Budget.t option;
       (** run governance: cancelling it stops any learning entry point
           cooperatively; its counters aggregate across folds. Each run still

@@ -36,13 +36,13 @@ type config = {
   use_approximate_inds : bool;  (** ablation knob; the paper always uses them *)
   coverage_cache : bool;
       (** memoize coverage verdicts (default [true]); verdicts are pure, so
-          learned definitions are identical either way — [false] exists for
-          A/B measurement ([--no-coverage-cache]) *)
+          learned definitions are identical either way — [false] gives an
+          uncached context for A/B measurement *)
   pruning : bool;
       (** learn failure constraints from rejected candidates and probe them
           before evaluating (default [true]); verdict-preserving, so learned
-          definitions are bit-identical either way — [false] ([--no-prune])
-          is the escape hatch / A/B baseline *)
+          definitions are bit-identical either way — [false] is the A/B
+          baseline *)
   budget : Budget.t option;
       (** run governance (deadline + cancellation + degradation counters):
           cancelling it stops any learning entry point cooperatively; each

@@ -69,12 +69,12 @@ type t = {
   seed_base : int;  (** master seed for per-example ground-BC RNGs *)
   grounds : (Relational.Relation.tuple, Logic.Compiled.ground) Hashtbl.t;
   lock : Mutex.t;  (** guards [grounds] *)
-  memo : memo option;  (** [None] = caching disabled ([--no-coverage-cache]) *)
+  memo : memo option;  (** [None] = caching disabled ([use_cache:false]) *)
   plans : Eval_plan.t;
       (** symbol table and plan cache every ground and clause is compiled
           against *)
   prune : Prune.t option;
-      (** failure-constraint store ([None] = [--no-prune]); a probe hit
+      (** failure-constraint store ([None] = [use_pruning:false]); a probe hit
           returns the exact verdict evaluation would compute, so pruning
           never changes results *)
   budget : Budget.t option;
@@ -106,7 +106,6 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
     budget;
   }
 
-let cache_enabled t = t.memo <> None
 let pruning_enabled t = t.prune <> None
 
 type prune_stats = Prune.stats = { probes : int; hits : int; constraints : int }

@@ -21,13 +21,12 @@ type cache_stats = { hits : int; misses : int; entries : int }
     hits/misses); it never changes any coverage verdict. [?use_cache]
     (default [true]) enables the lock-striped verdict memo: verdicts are pure
     functions of (clause, example) given the captured seed, so caching is
-    invisible to results — [false] exists for A/B measurement
-    ([--no-coverage-cache]). [?use_pruning] (default [true]) arms the
-    failure-constraint store ({!Prune}): blocked verdicts become prefix
-    signatures that answer later evaluations without running the frontier.
-    A probe hit returns the exact verdict evaluation would compute, so
-    pruning is also invisible to results — [false] ([--no-prune]) is the
-    A/B escape hatch. *)
+    invisible to results — [false] exists for A/B measurement.
+    [?use_pruning] (default [true]) arms the failure-constraint store
+    ({!Prune}): blocked verdicts become prefix signatures that answer later
+    evaluations without running the frontier. A probe hit returns the exact
+    verdict evaluation would compute, so pruning is also invisible to
+    results — [false] is the A/B baseline. *)
 val create :
   ?bc_config:Bottom_clause.config ->
   ?budget:Budget.t ->
@@ -38,7 +37,6 @@ val create :
   rng:Random.State.t ->
   t
 
-val cache_enabled : t -> bool
 val pruning_enabled : t -> bool
 
 (** Failure-constraint store snapshot (all zero when pruning is off). *)

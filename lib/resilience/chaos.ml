@@ -166,6 +166,11 @@ let snapshot () =
   List.map (fun (name, t) -> (name, counts t)) (Atomic.get registry)
   |> List.sort compare
 
+let parse_layers s =
+  String.split_on_char ',' s
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+
 let from_env () =
   match Sys.getenv_opt "AUTOBIAS_CHAOS_LAYERS" with
   | None | Some "" -> ()
@@ -185,7 +190,4 @@ let from_env () =
               float_of_string_opt
             |> Option.value ~default:0.
           in
-          configure ~p_kill ~p_fault:p ~seed
-            (String.split_on_char ',' layers
-            |> List.map String.trim
-            |> List.filter (fun s -> s <> "")))
+          configure ~p_kill ~p_fault:p ~seed (parse_layers layers))

@@ -111,6 +111,11 @@ val active : unit -> string list
     run report embeds this so a chaos soak is auditable after the fact. *)
 val snapshot : unit -> (string * counts) list
 
+(** [parse_layers s] splits a comma-separated layer list (as given to
+    [--chaos-layers] or [AUTOBIAS_CHAOS_LAYERS]) into trimmed, non-empty
+    names for {!configure}. *)
+val parse_layers : string -> string list
+
 (** [from_env ()] configures the registry from the environment:
     [AUTOBIAS_CHAOS_LAYERS] (comma list or ["all"]) gates everything;
     probability from [AUTOBIAS_CHAOS], seed from [AUTOBIAS_CHAOS_SEED]

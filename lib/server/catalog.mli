@@ -19,6 +19,13 @@ val error_to_string : error -> string
 
 val create : unit -> t
 
+(** [generate ~name ~scale ~seed] builds a fresh dataset by name, uncached
+    — the table every front end resolves dataset names through.
+    [Error (Unknown_dataset name)] for a name outside uw, imdb, hiv, flt
+    and sys. *)
+val generate :
+  name:string -> scale:float -> seed:int -> (Datasets.Dataset.t, error) result
+
 (** [load t ~name ~scale ~seed] returns the cached dataset or generates and
     publishes it. Thread-safe; generation for one key happens once. *)
 val load :

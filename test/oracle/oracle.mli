@@ -1,6 +1,7 @@
 (** The symbolic θ-subsumption engines (Section 5 of the paper): the
     reference implementation the compiled kernel ({!Logic.Compiled}) is
-    tested and benchmarked against. Nothing in the library uses it.
+    tested against, for its verdicts and for its speed margin. Nothing
+    outside the tests uses it.
 
     Clause [c] θ-subsumes ground clause [g] iff there is a substitution θ
     with body(c)θ ⊆ body(g). Deciding this is NP-hard; two approximate

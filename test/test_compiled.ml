@@ -225,6 +225,82 @@ let kernel_properties =
              clauses));
   ]
 
+(* ---------------- The kernel against the oracle, timed ---------------- *)
+
+(* A beam step's candidate set on UW (scale 0.3, seed 42): the bottom
+   clauses of the first 4 positives, each chained by ARMG against every
+   third positive. Each candidate runs against all 54 examples on the
+   kernel and on the oracle, behind the same head binding, and each pair
+   is timed as the minimum of 2 runs. *)
+let kernel_vs_oracle () =
+  let d = Datasets.Uw.generate ~seed:42 ~scale:0.3 () in
+  let db = d.Datasets.Dataset.db and bias = d.Datasets.Dataset.manual_bias in
+  let positives = d.Datasets.Dataset.positives in
+  let cov = Coverage.create db bias ~rng:(Random.State.make [| 42; 3 |]) in
+  let rng = Random.State.make [| 42; 11 |] in
+  let chain seed =
+    let c = ref (Learning.Bottom_clause.build db bias ~rng ~example:seed) in
+    let acc = ref [ !c ] in
+    List.iteri
+      (fun i e ->
+        if i mod 3 = 0 then
+          Option.iter
+            (fun c' ->
+              c := c';
+              acc := c' :: !acc)
+            (Learning.Armg.generalize cov !c ~example:e))
+      positives;
+    !acc
+  in
+  let candidates = List.concat_map chain (Logic.Util.take 4 positives) in
+  let tab = Compiled.Symtab.create () in
+  let scratch = Compiled.make_scratch () in
+  let examples = positives @ d.Datasets.Dataset.negatives in
+  let grounds =
+    List.mapi
+      (fun i e -> (e, grounds tab d ~rng:(Random.State.make [| 42; 5; i |]) e))
+      examples
+  in
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    let v = f () in
+    let t1 = Unix.gettimeofday () in
+    ignore (f ());
+    (v, Float.min (t1 -. t0) (Unix.gettimeofday () -. t1))
+  in
+  let disagree = ref 0 and ts_k = ref [] and ts_o = ref [] in
+  List.iter
+    (fun c ->
+      let plan = Compiled.compile tab c in
+      List.iter
+        (fun (e, (cg, og)) ->
+          let v_k, t_k =
+            time (fun () ->
+                match Coverage.head_subst c e with
+                | None -> Compiled.Blocked 0
+                | Some _ -> Compiled.eval scratch tab plan cg)
+          in
+          let v_o, t_o = time (fun () -> oracle_eval c e og) in
+          if not (verdict_eq v_k v_o) then incr disagree;
+          ts_k := t_k :: !ts_k;
+          ts_o := t_o :: !ts_o)
+        grounds)
+    candidates;
+  let p95 ts =
+    let a = Array.of_list ts in
+    Array.sort compare a;
+    Obs.Metrics.percentile a 0.95
+  in
+  let p95_k = p95 !ts_k and p95_o = p95 !ts_o in
+  Alcotest.(check int)
+    (Printf.sprintf "verdicts differing over %d pairs" (List.length !ts_k))
+    0 !disagree;
+  Alcotest.(check bool)
+    (Printf.sprintf "oracle p95 %.1fus / kernel p95 %.1fus = %.2fx >= 2"
+       (1e6 *. p95_o) (1e6 *. p95_k) (p95_o /. p95_k))
+    true
+    (p95_o >= 2. *. p95_k)
+
 (* ---------------- The learner on the kernel ---------------- *)
 
 let learn_uw ?pool ?(use_cache = true) ~seed () =
@@ -312,4 +388,11 @@ let learner_tests =
           (grown < 100_000));
   ]
 
-let suite = kernel_properties @ learner_tests
+let suite =
+  kernel_properties
+  @ Alcotest.
+      [
+        test_case "compiled kernel agrees with the oracle, 2x faster at p95"
+          `Slow kernel_vs_oracle;
+      ]
+  @ learner_tests

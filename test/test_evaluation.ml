@@ -214,6 +214,26 @@ let autobias_tests =
             ~negatives:d.Datasets.Dataset.negatives
         in
         Alcotest.(check bool) "training F > 0.4" true (m.Metrics.f_measure > 0.4));
+    Alcotest.test_case "learn_once is identical without the memo or pruning"
+      `Slow (fun () ->
+        (* The verdict memo and the failure-constraint store only remove
+           work, so switching either off learns the same definition. *)
+        let d = Datasets.Uw.generate ~seed:42 ~scale:0.5 () in
+        let learn config =
+          let r =
+            Autobias.learn_once
+              ~config:{ config with Autobias.timeout = Some 120. }
+              Autobias.Auto_bias d ~rng:(Random.State.make [| 42 |])
+              ~train_pos:d.Datasets.Dataset.positives
+              ~train_neg:d.Datasets.Dataset.negatives
+          in
+          Logic.Clause.definition_to_string r.Autobias.definition
+        in
+        let default = learn Autobias.default_config in
+        Alcotest.(check string) "memo off" default
+          (learn { Autobias.default_config with coverage_cache = false });
+        Alcotest.(check string) "pruning off" default
+          (learn { Autobias.default_config with pruning = false }));
     Alcotest.test_case "bias_for matches each method's shape" `Quick (fun () ->
         let d = Datasets.Uw.generate ~scale:0.3 () in
         let config = Autobias.default_config in

@@ -1,9 +1,10 @@
 (* The failure-constraint pruning store's contract: soundness (a prune hit
    replays the exact verdict the evaluator would produce — in particular,
    every pruned candidate really has zero positive coverage on that
-   example) and learner-level bit-identity: --no-prune runs learn the
-   identical definition at a fixed seed, sequentially and under a 2-domain
-   pool. Pruning may only ever remove subsumption work, never change it. *)
+   example) and learner-level bit-identity: runs without the store learn
+   the identical definition at a fixed seed, sequentially and under a
+   2-domain pool. Pruning may only ever remove subsumption work, never
+   change it, and it must remove at least a fifth of it. *)
 
 module Coverage = Learning.Coverage
 module Learn = Learning.Learn
@@ -70,7 +71,7 @@ let properties =
              clauses));
   ]
 
-(* ---------------- learner A/B: --no-prune ---------------- *)
+(* ---------------- learner A/B: pruning on/off ---------------- *)
 
 let learn_uw ?pool ?(use_pruning = true) ~seed () =
   let d = Datasets.Uw.generate ~seed ~scale:0.4 () in
@@ -93,8 +94,8 @@ let ab_tests =
       (fun () ->
         (* The correctness bar: pruning is a verdict-preserving cache, so
            the accepted definition must be bit-identical with the store on
-           and off at a fixed seed — and the store may only remove
-           subsumption work. *)
+           and off at a fixed seed. The store must also earn its keep: it
+           cuts subsumption tries to at most 0.8x (about 0.5x today). *)
         let on, stats = learn_uw ~use_pruning:true ~seed:5 () in
         let off, _ = learn_uw ~use_pruning:false ~seed:5 () in
         Alcotest.(check string) "identical definition"
@@ -105,9 +106,10 @@ let ab_tests =
         let tries_on = (counters on).Budget.subsumption_tries in
         let tries_off = (counters off).Budget.subsumption_tries in
         Alcotest.(check bool)
-          (Printf.sprintf "fewer or equal tries (%d on vs %d off)" tries_on
+          (Printf.sprintf "at most 0.8x the tries (%d on vs %d off)" tries_on
              tries_off)
-          true (tries_on <= tries_off);
+          true
+          (float_of_int tries_on <= 0.8 *. float_of_int tries_off);
         Alcotest.(check bool) "constraints were learned" true
           ((counters on).Budget.constraints_learned > 0);
         Alcotest.(check bool) "the store was probed" true (stats.probes > 0);

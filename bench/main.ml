@@ -887,7 +887,9 @@ let micro () =
       Test.make ~name:"subsume-compiled"
         (Staged.stage (fun () ->
              ignore
-               (Learning.Eval_plan.eval (Learning.Coverage.plans cov) gold
+               (let plans = Learning.Coverage.plans cov in
+                Learning.Eval_plan.eval plans
+                  (Learning.Eval_plan.plan_for plans gold)
                   ground)));
     ]
   in

@@ -67,8 +67,9 @@ type config = {
           cooperatively; its counters aggregate across folds. Each run still
           scopes its own [timeout]-bounded child. [None] = private budgets. *)
   pool : Parallel.Pool.t option;
-      (** domain pool threaded into the learner's hot paths (candidate
-          evaluation, acceptance counting, CV folds); [None] = sequential *)
+      (** domain pool threaded into the learner's hot paths (ARMG
+          candidate generation, candidate evaluation, acceptance counting,
+          CV folds); [None] = sequential *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
       (** checkpoint sink threaded to {!Learning.Learn} (clause-boundary
           snapshots); [None] disables checkpointing *)

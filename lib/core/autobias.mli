@@ -49,8 +49,9 @@ type config = {
           run still scopes its own [timeout]-bounded child. [None] (the
           default) gives every run a private budget. *)
   pool : Parallel.Pool.t option;
-      (** domain pool threaded into the learner's hot paths (candidate
-          evaluation, acceptance counting, CV folds); [None] = sequential.
+      (** domain pool threaded into the learner's hot paths (ARMG
+          candidate generation, candidate evaluation, acceptance counting,
+          CV folds); [None] = sequential.
           Learned definitions are identical for every pool size. *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
       (** clause-boundary checkpoint sink threaded to the learner

@@ -41,20 +41,37 @@ let m_ground_bcs = Obs.Metrics.counter "coverage.ground_bcs_built"
 
    The table is {e lock-striped}: the domain pool hammers it from every
    worker during beam evaluation, and a single mutex would serialize the
-   hot path the pool exists to parallelize. A stripe is picked by key hash;
-   locks are held only for the table probe / insert. Misses compute the
-   verdict outside any lock (racing duplicates insert the same value).
-   Stripes are capped so a long run cannot grow the table without bound:
-   once a stripe is full, new verdicts are simply not remembered — which is
-   deterministic, verdicts being pure. *)
+   hot path the pool exists to parallelize. Locks are held only for the
+   table probe / insert. Misses compute the verdict outside any lock
+   (racing duplicates insert the same value). Stripes are capped so a long
+   run cannot grow the table without bound: once a stripe is full, new
+   verdicts are simply not remembered — which is deterministic, verdicts
+   being pure.
+
+   One hash of the whole (clause key, example) pair picks both the stripe
+   and the bucket: the plan's full-key hash, computed once at compile time,
+   mixed with the example's. The bucket index takes the low bits, so the
+   stripe comes from high bits the bucket index never reads. *)
 
 let memo_stripes = 16
 let memo_stripe_cap = 1 lsl 14  (** per stripe; ~256k entries in total *)
 
+type memo_key = {
+  hash : int;
+  key : int array;
+  example : Relational.Relation.tuple;
+}
+
+module Memo_tbl = Hashtbl.Make (struct
+  type t = memo_key
+
+  let equal a b = a.hash = b.hash && a.key = b.key && a.example = b.example
+
+  let hash k = k.hash
+end)
+
 type memo = {
-  tables :
-    (int array * Relational.Relation.tuple, Logic.Compiled.verdict) Hashtbl.t
-    array;
+  tables : Logic.Compiled.verdict Memo_tbl.t array;
   locks : Mutex.t array;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -95,7 +112,7 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
       (if use_cache then
          Some
            {
-             tables = Array.init memo_stripes (fun _ -> Hashtbl.create 512);
+             tables = Array.init memo_stripes (fun _ -> Memo_tbl.create 512);
              locks = Array.init memo_stripes (fun _ -> Mutex.create ());
              hits = Atomic.make 0;
              misses = Atomic.make 0;
@@ -123,7 +140,7 @@ let cache_stats t =
       Array.iteri
         (fun i tbl ->
           Mutex.lock m.locks.(i);
-          entries := !entries + Hashtbl.length tbl;
+          entries := !entries + Memo_tbl.length tbl;
           Mutex.unlock m.locks.(i))
         m.tables;
       {
@@ -148,6 +165,13 @@ let example_hash (example : Relational.Relation.tuple) =
 
 let example_rng t example =
   Random.State.make [| t.seed_base; example_hash example |]
+
+let memo_hash ~key_hash example =
+  Logic.Compiled.hash_key [| key_hash; example_hash example |]
+
+(* Bits 58–61 of a 62-bit hash: a stripe holds at most 2^14 entries, so its
+   bucket array never reaches 2^58 and never reads them. *)
+let memo_stripe hash = (hash lsr 58) land (memo_stripes - 1)
 
 (** [ground_of t example] is the cached compiled ground bottom clause of
     [example]. *)
@@ -233,10 +257,10 @@ let head_subst clause (example : Relational.Relation.tuple) =
     go 0 Logic.Substitution.empty
   end
 
-(* One real frontier evaluation. Counts as a subsumption try so the Budget
-   counters expose exactly how many tests the memo and ARMG inheritance
-   avoided. *)
-let eval_uncached t clause example =
+(* One real frontier evaluation of [clause], compiled as [plan]. Counts as
+   a subsumption try so the Budget counters expose exactly how many tests
+   the memo and ARMG inheritance avoided. *)
+let eval_uncached t clause plan example =
   Budget.hit_opt t.budget Budget.Subsumption_try;
   Obs.Metrics.bump m_tests;
   Obs.Metrics.time m_eval (fun () ->
@@ -246,28 +270,28 @@ let eval_uncached t clause example =
       match head_subst clause example with
       | None -> Logic.Compiled.Blocked 0
       | Some _ ->
-          Eval_plan.eval ?budget:t.budget t.plans clause (ground_of t example))
+          Eval_plan.eval ?budget:t.budget t.plans plan (ground_of t example))
 
 (* One verdict, cheapest honest route: probe the failure-constraint store
    first (a trie walk instead of a frontier evaluation — a hit returns the
    exact verdict evaluation would compute), fall back to the real
    evaluator, and turn any fresh blocked verdict into a stored constraint
    for the next candidate that shares the failing prefix. *)
-let compute t clause example =
+let compute t clause plan example =
   match t.prune with
   | Some ps -> (
-      let key = Eval_plan.key t.plans clause in
+      let key = Logic.Compiled.key plan in
       match Prune.probe ps ~example ~key with
       | Some i -> Logic.Compiled.Blocked i
       | None ->
-          let v = eval_uncached t clause example in
+          let v = eval_uncached t clause plan example in
           (match v with
           | Logic.Compiled.Blocked i ->
               if Prune.learn ps ~example ~key ~blocked:i then
                 Budget.hit_opt t.budget Budget.Constraint_learned
           | Logic.Compiled.Covered _ -> ());
           v)
-  | None -> eval_uncached t clause example
+  | None -> eval_uncached t clause plan example
 
 (** [probe_pruned t clause example] — the verdict the failure-constraint
     store already knows for [(clause, example)], if any (always a
@@ -293,20 +317,24 @@ let blocking_key t clause i =
     cannot be bound to the example. Verdicts are served from the memo when
     enabled; a memoized verdict is identical to a recomputed one. The
     second component reports whether the memo served it — the search-funnel
-    accounting wants to know, the verdict itself never depends on it. *)
+    accounting wants to know, the verdict itself never depends on it. The
+    clause's plan is looked up once and serves the memo key, the prune
+    probe and the kernel. *)
 let eval_src t clause example =
+  let plan = Eval_plan.plan_for t.plans clause in
   match t.memo with
-  | None -> (compute t clause example, false)
+  | None -> (compute t clause plan example, false)
   (* "memo" chaos: pretend the cache lost this entry — bypass the probe
      and the insert and recompute. Purity of verdicts means the answer is
      identical, so chaos here degrades throughput, never correctness. *)
-  | Some _ when Chaos.fires "memo" -> (compute t clause example, false)
+  | Some _ when Chaos.fires "memo" -> (compute t clause plan example, false)
   | Some m -> (
-      let key = (Eval_plan.key t.plans clause, example) in
-      let s = Hashtbl.hash key mod memo_stripes in
+      let hash = memo_hash ~key_hash:(Logic.Compiled.key_hash plan) example in
+      let key = { hash; key = Logic.Compiled.key plan; example } in
+      let s = memo_stripe hash in
       let lock = m.locks.(s) and tbl = m.tables.(s) in
       Mutex.lock lock;
-      let cached = Hashtbl.find_opt tbl key in
+      let cached = Memo_tbl.find_opt tbl key in
       Mutex.unlock lock;
       match cached with
       | Some v ->
@@ -316,10 +344,10 @@ let eval_src t clause example =
       | None ->
           Atomic.incr m.misses;
           Budget.hit_opt t.budget Budget.Coverage_memo_miss;
-          let v = compute t clause example in
+          let v = compute t clause plan example in
           Mutex.lock lock;
-          if Hashtbl.length tbl < memo_stripe_cap && not (Hashtbl.mem tbl key)
-          then Hashtbl.add tbl key v;
+          if Memo_tbl.length tbl < memo_stripe_cap && not (Memo_tbl.mem tbl key)
+          then Memo_tbl.add tbl key v;
           Mutex.unlock lock;
           (v, false))
 

@@ -51,6 +51,15 @@ val prune_stats : t -> prune_stats
 (** [cache_stats t] — a consistent-enough snapshot of the verdict memo. *)
 val cache_stats : t -> cache_stats
 
+(** [memo_hash ~key_hash example] — the verdict memo's hash of a (clause,
+    example) pair, from the clause plan's {!Logic.Compiled.key_hash}: it
+    reads the whole clause key and the whole example. [memo_stripe h] — the
+    lock stripe of 16 that the pair lands in, taken from bits the in-stripe
+    bucket index does not use. *)
+val memo_hash : key_hash:int -> Relational.Relation.tuple -> int
+
+val memo_stripe : int -> int
+
 (** [with_budget t budget] is [t] reporting into [budget]: a shallow copy
     sharing the ground-BC cache (and its mutex) — concurrent learns each
     get their own counters without duplicating cached work. *)

@@ -82,12 +82,12 @@ let plan_for t clause =
 (** [key t clause] — the canonical int-id memo key of [clause]. *)
 let key t clause = Logic.Compiled.key (plan_for t clause)
 
-(** [eval ?budget t clause g] — compiled evaluation of [clause] against
+(** [eval ?budget t plan g] — compiled evaluation of [plan] against
     compiled ground [g] ([Blocked 0] when the head cannot bind [g]'s
-    example). *)
-let eval ?budget t clause g =
-  Logic.Compiled.eval ?budget (Domain.DLS.get scratch) t.symtab
-    (plan_for t clause) g
+    example). Takes the plan, not the clause, so a caller that already
+    looked it up pays no second cache probe. *)
+let eval ?budget t plan g =
+  Logic.Compiled.eval ?budget (Domain.DLS.get scratch) t.symtab plan g
 
 (** [generalize t clause g] — ARMG's kept-literal mask for [clause] on
     [g]. *)

@@ -16,12 +16,12 @@ val plan_for : t -> Logic.Clause.t -> Logic.Compiled.plan
     exactly where [Clause.to_string] is, with no printing. *)
 val key : t -> Logic.Clause.t -> int array
 
-(** [eval ?budget t clause g] — {!Logic.Compiled.eval} on this domain's
-    scratch arena. *)
+(** [eval ?budget t plan g] — {!Logic.Compiled.eval} of a plan from
+    {!plan_for} on this domain's scratch arena. *)
 val eval :
   ?budget:Budget.t ->
   t ->
-  Logic.Clause.t ->
+  Logic.Compiled.plan ->
   Logic.Compiled.ground ->
   Logic.Compiled.verdict
 

@@ -61,10 +61,12 @@ type config = {
           per-call child from it, so [timeout] still bounds each call;
           [None] gives every call a private budget. *)
   pool : Parallel.Pool.t option;
-      (** domain pool for candidate evaluation, acceptance counting and
-          ground-BC warming; [None] runs the sequential code path. Results
-          are identical for every pool size (coverage is deterministic per
-          example), so the pool only changes wall-clock time. *)
+      (** domain pool for ARMG candidate generation, candidate evaluation,
+          acceptance counting and ground-BC warming; [None] runs the
+          sequential code path. Results are identical for every pool size
+          (ARMG and coverage are deterministic per example, and candidates
+          are deduplicated in list order on the caller), so the pool only
+          changes wall-clock time. *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
       (** sink invoked at clause boundaries (every [checkpoint_every]-th
           covering iteration) with a complete snapshot of learner progress.
@@ -463,7 +465,7 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
     List.iter (fun s -> Hashtbl.replace seen (clause_key s.clause) ()) !beam;
     let collected = ref [] in
     (* Pair the targets and chain ARMG through both (as in ProGolem's
-       iterated armg): coverage evaluation dominates the cost, so fewer,
+       iterated armg): every candidate costs a scoring round, so fewer,
        more-general candidates beat many one-step ones — especially when
        the bias floods bottom clauses with generic by-catch. *)
     let rec pairs = function
@@ -471,37 +473,42 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
       | [ a ] -> [ (a, None) ]
       | [] -> []
     in
-    (* Candidate generation (ARMG chaining + dedup) stays sequential: it is
-       cheap next to evaluation and its RNG-free frontier sweeps need no
-       coordination. The generated candidates are then scored through
-       [parallel_map] — evaluation is the beam step's dominant cost. *)
-    List.iter
-      (fun entry ->
-        List.iter
-          (fun (ea, eb) ->
-            let chained =
-              match Armg.generalize cov entry.clause ~example:ea with
-              | None -> None
-              | Some c -> (
-                  match eb with
+    (* Candidate generation: ARMG chaining is the beam step's largest cost,
+       and each (beam entry, target pair) chain is an RNG-free sweep that
+       depends on no other, so the chains run through [parallel_map]. The
+       dedup walk stays on the coordinator in list order, so the candidate
+       list is the same for every pool size. *)
+    let work =
+      List.concat_map
+        (fun entry -> List.map (fun pair -> (entry, pair)) (pairs targets))
+        !beam
+    in
+    let chained =
+      Parallel.Par.parallel_map ?pool:config.pool
+        (fun (entry, (ea, eb)) ->
+          match Armg.generalize cov entry.clause ~example:ea with
+          | None -> None
+          | Some c -> (
+              match eb with
+              | None -> Some c
+              | Some eb -> (
+                  match Armg.generalize cov c ~example:eb with
                   | None -> Some c
-                  | Some eb -> (
-                      match Armg.generalize cov c ~example:eb with
-                      | None -> Some c
-                      | Some c2 -> Some c2))
-            in
-            match chained with
-            | None -> ()
-            | Some clause ->
-                let key = clause_key clause in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.replace seen key ();
-                  (* keep the ARMG parent: the child inherits its verified
-                     covered sets during evaluation *)
-                  collected := (clause, entry) :: !collected
-                end)
-          (pairs targets))
-      !beam;
+                  | Some c2 -> Some c2)))
+        work
+    in
+    List.iter2
+      (fun (entry, _) -> function
+        | None -> ()
+        | Some clause ->
+            let key = clause_key clause in
+            if not (Hashtbl.mem seen key) then begin
+              Hashtbl.replace seen key ();
+              (* keep the ARMG parent: the child inherits its verified
+                 covered sets during evaluation *)
+              collected := (clause, entry) :: !collected
+            end)
+      work chained;
     (* Anytime evaluation: on expiry mid-round, candidates already being
        scored finish (one-job granularity) and the rest come back [None] —
        counted as abandoned, never half-scored. With a live budget this is

@@ -35,11 +35,13 @@ type config = {
           [timeout] still bounds each call. [None] (the default) gives each
           call a private budget — behavior identical to pre-governance. *)
   pool : Parallel.Pool.t option;
-      (** domain pool for candidate evaluation, acceptance counting and
-          ground-BC warming; [None] (the default) runs sequentially. The
-          learned definition is identical for every pool size on a fixed
-          seed — coverage testing is deterministic per example — so the
-          pool only changes wall-clock time. *)
+      (** domain pool for ARMG candidate generation, candidate evaluation,
+          acceptance counting and ground-BC warming; [None] (the default)
+          runs sequentially. The learned definition is identical for every
+          pool size on a fixed seed — ARMG and coverage testing are
+          deterministic per example, and candidates are deduplicated in
+          list order on the caller — so the pool only changes wall-clock
+          time. *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
       (** sink invoked at clause boundaries (every [checkpoint_every]-th
           covering iteration) with a complete snapshot of learner progress

@@ -222,9 +222,23 @@ type plan = {
   p_pred : int array;  (** body literal → predicate id *)
   p_args : int array array;  (** body literal → encoded args (dense vars) *)
   p_key : int array;  (** canonical memo key *)
+  p_hash : int;  (** [hash_key p_key], computed once at compile time *)
 }
 
 let key p = p.p_key
+let key_hash p = p.p_hash
+
+(* A hash of every element: the polymorphic [Hashtbl.hash] stops after ten
+   ints, so keys sharing a head and their first body literal — one ARMG
+   lineage — would all collide. FNV-1a over whole ints, then a final
+   avalanche that spreads the entropy into the high bits too. *)
+let hash_mix h x = (h lxor x) * 0x100000001b3
+
+let hash_finish h =
+  let h = (h lxor (h lsr 29)) * 0x2545f4914f6cdd1d in
+  (h lxor (h lsr 32)) land max_int
+
+let hash_key k = hash_finish (Array.fold_left hash_mix 0x4bf29ce484222325 k)
 let n_body p = Array.length p.p_pred
 
 (* The canonical key is a prefix-free concatenation of per-literal segments
@@ -294,6 +308,7 @@ let compile tab clause =
     p_pred;
     p_args;
     p_key;
+    p_hash = hash_key p_key;
   }
 
 (** {1 Scratch arenas} *)

@@ -57,6 +57,14 @@ val compile : Symtab.t -> Clause.t -> plan
     replacement for printed-clause memo keys. *)
 val key : plan -> int array
 
+(** [hash_key k] — a hash that reads every element of [k] and spreads over
+    all bits of a non-negative int, high bits included. *)
+val hash_key : int array -> int
+
+(** [key_hash plan] — [hash_key (key plan)], computed once when [plan] was
+    compiled. *)
+val key_hash : plan -> int
+
 val n_body : plan -> int
 
 (** [key_bounds k] — the literal-segment boundaries of a canonical key:

@@ -45,17 +45,39 @@ let fingerprint_of_strings parts =
 
 (* {2 hex-encoded Marshal blobs} *)
 
+let hex_digits = "0123456789abcdef"
+
 let hex_encode s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let n = String.length s in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let b = Char.code s.[i] in
+    Bytes.set out (2 * i) hex_digits.[b lsr 4];
+    Bytes.set out ((2 * i) + 1) hex_digits.[b land 15]
+  done;
+  Bytes.unsafe_to_string out
+
+(* Digit value of every byte, -1 for anything [hex_encode] never writes. *)
+let hex_value =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - Char.code '0'
+      | 'a' .. 'f' -> c - Char.code 'a' + 10
+      | _ -> -1)
 
 let hex_decode s =
-  if String.length s mod 2 <> 0 then failwith "odd-length hex string"
-  else
-    String.init
-      (String.length s / 2)
-      (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+  let n = String.length s in
+  if n mod 2 <> 0 then failwith "odd-length hex string"
+  else begin
+    let out = Bytes.create (n / 2) in
+    for i = 0 to (n / 2) - 1 do
+      let hi = hex_value.(Char.code s.[2 * i])
+      and lo = hex_value.(Char.code s.[(2 * i) + 1]) in
+      if hi < 0 || lo < 0 then failwith "non-hex digit";
+      Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
+    done;
+    Bytes.unsafe_to_string out
+  end
 
 let marshal_hex v = hex_encode (Marshal.to_string v [])
 

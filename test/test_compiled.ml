@@ -343,6 +343,28 @@ let learner_tests =
       (fun () ->
         check_golden
           (Pool.with_pool ~size:1 (fun p -> learn_uw ~pool:p ~seed:5 ())));
+    Alcotest.test_case "golden UW seed-5 learn on 2-worker pools, calm and chaotic"
+      `Slow (fun () ->
+        (* ARMG chains and candidate evaluations both run on the pool: three
+           domains, then faults that drop helper tasks, then faults plus
+           worker kills. Every run must reproduce the sequential one. *)
+        let sequential = learn_uw ~seed:5 () in
+        List.iter
+          (fun (label, chaos) ->
+            let r =
+              Pool.with_pool ~size:2 ?chaos (fun p -> learn_uw ~pool:p ~seed:5 ())
+            in
+            check_golden r;
+            Alcotest.(check int)
+              (label ^ ": candidates evaluated")
+              sequential.Learn.stats.Learn.candidates_evaluated
+              r.Learn.stats.Learn.candidates_evaluated)
+          [
+            ("calm", None);
+            ("faults", Some (Chaos.create ~p_fault:0.5 ~seed:42 ()));
+            ( "faults and kills",
+              Some (Chaos.create ~p_fault:0.3 ~p_kill:0.05 ~seed:42 ()) );
+          ]);
     Alcotest.test_case "uncached compiled run matches the cached one" `Slow
       (fun () ->
         (* The memo and the kernel compose: toggling the memo never

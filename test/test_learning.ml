@@ -400,3 +400,27 @@ let edge_config_tests =
   ]
 
 let suite = suite @ edge_config_tests
+
+let memo_tests =
+  [
+    Alcotest.test_case "memo hash spreads one clause's examples over stripes"
+      `Quick (fun () ->
+        (* One clause key of 40 ints against 50 examples: every pair gets
+           its own hash, and the pairs reach all 16 lock stripes. A hash
+           that read only the key's first ints gave them all one hash. *)
+        let key = Array.init 40 (fun i -> i) in
+        let key_hash = Logic.Compiled.hash_key key in
+        let last_changed = Array.mapi (fun i k -> if i = 39 then -7 else k) key in
+        Alcotest.(check bool) "the key's last int changes its hash" true
+          (Logic.Compiled.hash_key last_changed <> key_hash);
+        let hashes =
+          List.init 50 (fun i ->
+              Coverage.memo_hash ~key_hash [| v "person"; Value.int i |])
+        in
+        let distinct l = List.length (List.sort_uniq compare l) in
+        Alcotest.(check int) "distinct memo hashes" 50 (distinct hashes);
+        Alcotest.(check int) "stripes touched" 16
+          (distinct (List.map Coverage.memo_stripe hashes)));
+  ]
+
+let suite = suite @ memo_tests

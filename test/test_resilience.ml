@@ -172,6 +172,46 @@ let checkpoint_tests =
             match Checkpoint.load path with
             | Ok _ -> Alcotest.fail "loaded torn JSON"
             | Error _ -> ()));
+    Alcotest.test_case "hex payloads round-trip all 256 byte values" `Quick
+      (fun () ->
+        let bytes = String.init 256 Char.chr in
+        let ck = { (sample_checkpoint ()) with Checkpoint.constraints = bytes } in
+        let j = Checkpoint.to_json ck in
+        (* the text older binaries wrote: two lower-case digits a byte *)
+        let reference =
+          String.concat ""
+            (List.init 256 (fun b -> Printf.sprintf "%02x" b))
+        in
+        Alcotest.(check (option string)) "lower-case hex text"
+          (Some reference)
+          (match Json.member "constraints" j with
+          | Some (Json.Str s) -> Some s
+          | _ -> None);
+        match Checkpoint.of_json j with
+        | Error e -> Alcotest.failf "round trip failed: %s" e
+        | Ok got ->
+            Alcotest.(check string) "bytes" bytes got.Checkpoint.constraints);
+    Alcotest.test_case "a non-hex digit loads as Error, never an exception"
+      `Quick (fun () ->
+        List.iter
+          (fun bad ->
+            with_temp_file (fun path ->
+                let tampered =
+                  match Checkpoint.to_json (sample_checkpoint ()) with
+                  | Json.Obj fields ->
+                      Json.Obj
+                        (List.map
+                           (function
+                             | "constraints", _ -> ("constraints", Json.Str bad)
+                             | kv -> kv)
+                           fields)
+                  | _ -> Alcotest.fail "checkpoint JSON is not an object"
+                in
+                Json.write path tampered;
+                match Checkpoint.load path with
+                | Ok _ -> Alcotest.failf "loaded constraints %S" bad
+                | Error _ -> ()))
+          [ "zz"; "0g"; "g0"; "_1"; "+1"; " 1"; "abc" ]);
     Alcotest.test_case "validate gates on the config fingerprint" `Quick
       (fun () ->
         let ck = sample_checkpoint () in

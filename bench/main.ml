@@ -65,12 +65,13 @@ type options = {
   mutable domains : int option;
       (** worker-domain pool size for the learner's parallel paths *)
   mutable chaos : float option;
-      (** pool fault-injection probability — robustness smoke testing: the
-          run must finish with the same tables, just slower and with a
-          nonzero dropped-task tally in the pool stats *)
+      (** fault-injection probability for the --chaos-layers layers (the
+          pool alone without them) — robustness smoke testing: the run must
+          finish with the same tables, just slower and with a nonzero
+          dropped-task tally in the pool stats *)
   mutable chaos_layers : string option;
       (** comma-separated layer names (or "all") for the chaos registry;
-          without it --chaos injects into pool workers only *)
+          default "pool" when --chaos is given *)
   mutable chaos_kill : float option;
       (** worker-kill probability (pool layer): exercises supervision
           restart/retry/quarantine under the bench workloads *)
@@ -89,26 +90,16 @@ let options =
     chaos_kill = None; deadline = None; trace = None; metrics = None }
 
 (* One pool for the whole run (spawning domains is the expensive part);
-   created on first use when --domains (or --chaos, which needs workers to
-   inject into) is given, shut down by the driver. *)
+   created on first use when --domains is given or a pool-layer chaos
+   injector is armed (it needs workers to inject into), shut down at the
+   end of the run. *)
 let the_pool : Parallel.Pool.t option ref = ref None
 
 let pool () =
   match !the_pool with
   | Some _ as p -> p
   | None -> (
-      (* the registry's pool injector (from --chaos-layers) wins; plain
-         --chaos keeps the pre-registry pool-only behavior *)
-      let chaos =
-        match Chaos.get "pool" with
-        | Some _ as inj -> inj
-        | None ->
-            Option.map
-              (fun p ->
-                Chaos.create ~p_fault:p ?p_kill:options.chaos_kill
-                  ~seed:options.seed ())
-              options.chaos
-      in
+      let chaos = Chaos.get "pool" in
       match (options.domains, chaos) with
       | None, None -> None
       | size, _ ->
@@ -535,8 +526,7 @@ let ablation_noise () =
         (List.length r.Autobias.definition)
         Metrics.pp_row m
         (CV.format_time r.Autobias.learn_time);
-      Option.iter
-        (fun deg -> Fmt.pr "             degradation: %a@." Budget.pp_degradation deg)
+      Fmt.pr "             degradation: %a@." Budget.pp_degradation
         r.Autobias.degradation;
       record "ablation-noise"
         [ (Printf.sprintf "uw.noise%g.f_measure" (100. *. fraction),
@@ -615,8 +605,9 @@ let ablation_overlap () =
 
 (* The checkpoint/resume layer's costs, measured on the full UW learner at
    the same fixed seed: wall-clock overhead of snapshotting at every clause
-   boundary (vs the identical run with no sink), the serialized snapshot
-   size, the time a resumed run takes to reach its first new clause
+   boundary (vs the identical run with no sink), the bytes the snapshots
+   take on disk (newest, smallest, largest and in all), the time a resumed
+   run takes to reach its first new clause
    boundary, and — the invariant everything else rests on — that the
    resumed definition is bit-identical to the uninterrupted one. *)
 
@@ -653,17 +644,26 @@ let resilience_bench () =
   let r0, t_base = best_of_3 (fun () -> run ()) in
   let tmp = Filename.temp_file "autobias_bench" ".ckpt.json" in
   let checkpoints = ref [] in
+  (* bytes on disk of each written snapshot, newest first; snapshots grow
+     with the failure-constraint store, so one size does not describe them *)
+  let sizes = ref [] in
   let sink ck =
     checkpoints := ck :: !checkpoints;
-    Resilience.Checkpoint.save ck tmp
+    let outcome = Resilience.Checkpoint.save ck tmp in
+    if outcome = `Written then sizes := (Unix.stat tmp).Unix.st_size :: !sizes;
+    outcome
   in
-  let r1, t_ck = best_of_3 (fun () -> checkpoints := []; run ~checkpoint:sink ()) in
+  let r1, t_ck =
+    best_of_3 (fun () ->
+        checkpoints := [];
+        sizes := [];
+        run ~checkpoint:sink ())
+  in
   let n_checkpoints = List.length !checkpoints in
-  let ck_bytes =
-    match !checkpoints with
-    | [] -> 0
-    | ck :: _ -> String.length (Obs.Json.to_string (Resilience.Checkpoint.to_json ck))
-  in
+  let ck_bytes = match !sizes with [] -> 0 | newest :: _ -> newest in
+  let ck_min = List.fold_left min ck_bytes !sizes in
+  let ck_max = List.fold_left max 0 !sizes in
+  let ck_total = List.fold_left ( + ) 0 !sizes in
   let overhead_pct =
     if t_base <= 0. then 0. else 100. *. (t_ck -. t_base) /. t_base
   in
@@ -690,8 +690,10 @@ let resilience_bench () =
   in
   (try Sys.remove tmp with Sys_error _ -> ());
   Fmt.pr "baseline     : %8.3fs@." t_base;
-  Fmt.pr "checkpointed : %8.3fs  (%d snapshots, %d bytes each, every boundary)@."
-    t_ck n_checkpoints ck_bytes;
+  Fmt.pr
+    "checkpointed : %8.3fs  (%d snapshots of %d to %d bytes, %d bytes in \
+     all, every boundary)@."
+    t_ck n_checkpoints ck_min ck_max ck_total;
   Fmt.pr "overhead     : %7.2f%%  (acceptance bound: 5%%)@." overhead_pct;
   Fmt.pr "recovery     : %8.3fs to the first post-resume clause boundary@."
     recovery_s;
@@ -703,6 +705,9 @@ let resilience_bench () =
       ("uw.checkpointed_s", J.Float t_ck);
       ("uw.checkpoint_overhead_pct", J.Float overhead_pct);
       ("uw.checkpoint_bytes", J.Int ck_bytes);
+      ("uw.checkpoint_bytes_min", J.Int ck_min);
+      ("uw.checkpoint_bytes_max", J.Int ck_max);
+      ("uw.checkpoint_bytes_total", J.Int ck_total);
       ("uw.checkpoints_written", J.Int n_checkpoints);
       ("uw.recovery_first_clause_s", J.Float recovery_s);
       ("uw.checkpointed_identical", J.Bool checkpointed_identical);
@@ -990,8 +995,9 @@ let usage () =
   Fmt.pr
     "--domains N runs the learner's hot paths on an N-worker domain pool@.";
   Fmt.pr
-    "--chaos P kills each queued pool job with probability P (seeded);\n\
-     the tables must come out identical, with faults tallied in the pool stats@.";
+    "--chaos P faults each probed operation with probability P (seeded)\n\
+     in the --chaos-layers layers, the pool's alone by default; the tables\n\
+     must come out identical, with faults tallied in the pool stats@.";
   Fmt.pr
     "--chaos-layers L,.. (or 'all') arms the chaos registry per layer at\n\
      the --chaos probability; --chaos-kill P additionally kills pool\n\
@@ -1058,12 +1064,8 @@ let () =
   in
   let chosen = parse [] args in
   let chosen = if chosen = [] then List.map fst experiments else chosen in
-  (match options.chaos_layers with
-  | Some layers ->
-      Chaos.configure ?p_kill:options.chaos_kill
-        ~p_fault:(Option.value options.chaos ~default:0.)
-        ~seed:options.seed (Chaos.parse_layers layers)
-  | None -> ());
+  Chaos.configure_flags ~p_fault:options.chaos ~p_kill:options.chaos_kill
+    ~layers:options.chaos_layers ~seed:options.seed;
   if options.trace <> None then Obs.Trace.enable ();
   set_meta
     [ ("seed", J.Int options.seed);

@@ -40,14 +40,18 @@ let seed_arg =
 
 let timeout_arg =
   let doc = "Learning timeout in seconds (per run/fold)." in
-  Arg.(value & opt float 120. & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value
+    & opt float Server.Protocol.default_timeout
+    & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
 let deadline_arg =
   let doc =
-    "Global wall-clock deadline for the whole command in seconds. The \
-     learner is anytime: when the deadline passes it stops dispatching \
-     work, returns the definition accumulated so far, and reports the \
-     degradation (beam rounds cut, candidates abandoned, ...)."
+    "Global wall-clock deadline for the whole command in seconds, for \
+     every method (aleph included). The learner is anytime: when the \
+     deadline passes it stops dispatching work, returns the definition \
+     accumulated so far, and reports the degradation (beam rounds cut, \
+     candidates abandoned, ...)."
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
@@ -61,20 +65,21 @@ let domains_arg =
 let chaos_arg =
   let doc =
     "Fault-injection probability (testing): each probed operation faults \
-     with probability $(docv) under a seeded RNG. Without --chaos-layers \
-     this injects into pool workers only (the pre-registry behavior); with \
-     it, into every named layer. The run must still terminate with a valid \
-     definition; injections show up in the pool stats, the degradation \
-     counters and the run report's chaos snapshot."
+     with probability $(docv) under a seeded RNG, in every layer named by \
+     --chaos-layers (without it, the pool layer alone: --chaos-layers \
+     pool). The run must still terminate with a valid definition; \
+     injections show up in the pool stats, the degradation counters and \
+     the run report's chaos snapshot."
   in
   Arg.(value & opt (some float) None & info [ "chaos" ] ~docv:"P" ~doc)
 
 let chaos_layers_arg =
   let doc =
     "Comma-separated chaos layers to inject into (pool, csv, sampling, \
-     memo, checkpoint — or 'all'). Each layer gets its own seeded \
-     injector at the --chaos probability; worker kills (--chaos-kill) arm \
-     only the pool layer. Equivalent to AUTOBIAS_CHAOS_LAYERS."
+     memo, checkpoint — or 'all'; default pool when --chaos is given). \
+     Each layer gets its own seeded injector at the --chaos probability; \
+     worker kills (--chaos-kill) arm only the pool layer. Equivalent to \
+     AUTOBIAS_CHAOS_LAYERS."
   in
   Arg.(value & opt (some string) None & info [ "chaos-layers" ] ~docv:"LAYERS" ~doc)
 
@@ -204,7 +209,7 @@ let with_observability ~trace ~events ~funnel ~metrics ~name ~config k =
 
 (* Build the budget / pool a command asked for and pass them down; the pool
    is shut down (domains joined) before returning, also on exceptions.
-   [chaos_layers] installs per-layer injectors first, so the pool picks up
+   The chaos flags install per-layer injectors first, so the pool picks up
    the registry's "pool" injector when one is configured.
 
    A budget always exists (unbounded without --deadline) so that SIGINT /
@@ -214,12 +219,8 @@ let with_observability ~trace ~events ~funnel ~metrics ~name ~config k =
    (checkpoint writes are atomic tmp+rename) — instead of dying mid-write.
    A second signal exits immediately. *)
 let with_resources ~seed ~deadline ~domains ~chaos ~chaos_layers ~chaos_kill k =
-  (match chaos_layers with
-  | Some layers ->
-      Chaos.configure ?p_kill:chaos_kill
-        ~p_fault:(Option.value chaos ~default:0.)
-        ~seed (Chaos.parse_layers layers)
-  | None -> ());
+  Chaos.configure_flags ~p_fault:chaos ~p_kill:chaos_kill ~layers:chaos_layers
+    ~seed;
   let budget = Budget.create ?deadline () in
   let interrupted = ref false in
   let on_signal =
@@ -237,14 +238,7 @@ let with_resources ~seed ~deadline ~domains ~chaos ~chaos_layers ~chaos_kill k =
   Sys.set_signal Sys.sigint on_signal;
   (try Sys.set_signal Sys.sigterm on_signal with Invalid_argument _ -> ());
   let budget = Some budget in
-  let fault =
-    match Chaos.get "pool" with
-    | Some _ as inj -> inj
-    | None ->
-        Option.map
-          (fun p -> Chaos.create ~p_fault:p ?p_kill:chaos_kill ~seed ())
-          chaos
-  in
+  let fault = Chaos.get "pool" in
   match (domains, fault) with
   | (None | Some 0), None -> k ~budget None
   | size, _ ->
@@ -467,6 +461,7 @@ let learn_cmd =
                   ("written", Obs.Json.Int !written);
                 ] ))
         checkpoint;
+      let d = r.Autobias.degradation in
       if show_bias then
         Fmt.pr "--- language bias (%d definitions) ---@.%a@.---@."
           (Bias.Language.size r.Autobias.bias_info.Autobias.bias)
@@ -474,13 +469,10 @@ let learn_cmd =
       Fmt.pr "learned %d clauses in %.2fs%s:@.%a@."
         (List.length r.Autobias.definition)
         r.Autobias.learn_time
-        (if r.Autobias.timed_out then " (timed out)" else "")
+        (if d.Budget.status = Budget.Completed then "" else " (timed out)")
         Logic.Clause.pp_definition r.Autobias.definition;
-      Option.iter
-        (fun d ->
-          note_degradation d;
-          Fmt.pr "degradation: %a@." Budget.pp_degradation d)
-        r.Autobias.degradation;
+      note_degradation d;
+      Fmt.pr "degradation: %a@." Budget.pp_degradation d;
       Option.iter
         (fun { Learning.Coverage.probes; hits; constraints } ->
           Fmt.pr "pruning: %d constraints learned, %d/%d probes hit@."

@@ -33,18 +33,11 @@ let print_error msg =
     (Obs.Json.Obj
        [ ("status", Obs.Json.Str "failed"); ("error", Obs.Json.Str msg) ])
 
-let configure_chaos ~chaos ~chaos_layers ~chaos_kill ~seed =
-  Chaos.from_env ();
-  match chaos_layers with
-  | Some layers ->
-      Chaos.configure ?p_kill:chaos_kill
-        ~p_fault:(Option.value chaos ~default:0.)
-        ~seed (Chaos.parse_layers layers)
-  | None -> ()
-
 let serve domains max_in_flight max_queue default_deadline max_attempts seed
     chaos chaos_layers chaos_kill drain_deadline report trace events sync =
-  configure_chaos ~chaos ~chaos_layers ~chaos_kill ~seed;
+  Chaos.from_env ();
+  Chaos.configure_flags ~p_fault:chaos ~p_kill:chaos_kill ~layers:chaos_layers
+    ~seed;
   if trace <> None then Obs.Trace.enable ();
   Option.iter Obs.Events.configure events;
   let catalog = Server.Catalog.create () in
@@ -186,13 +179,16 @@ let () =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"INT" ~doc)
   in
   let chaos_arg =
-    let doc = "Fault-injection probability per configured chaos layer." in
+    let doc =
+      "Fault-injection probability per configured chaos layer (without \
+       --chaos-layers, the pool layer alone)."
+    in
     Arg.(value & opt (some float) None & info [ "chaos" ] ~docv:"P" ~doc)
   in
   let chaos_layers_arg =
     let doc =
       "Comma-separated chaos layers (pool, csv, sampling, memo, \
-       checkpoint, server — or 'all')."
+       checkpoint, server — or 'all'; default pool when --chaos is given)."
     in
     Arg.(
       value & opt (some string) None & info [ "chaos-layers" ] ~docv:"LAYERS" ~doc)

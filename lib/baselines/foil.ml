@@ -13,7 +13,9 @@
     compatible type, [-] positions fresh variables, [#] positions the most
     frequent constants of the attribute. Top-down greedy search is biased
     toward short clauses — fast, but it misses definitions that only pay off
-    after several joins, which is exactly how Aleph behaves in Table 5. *)
+    after several joins, which is exactly how Aleph behaves in Table 5.
+    Like {!Learning.Learn}, a run answers to its coverage context's budget
+    scoped to [timeout] ({!Learning.Coverage.scope}). *)
 
 module String_set = Bias.Util.String_set
 
@@ -37,8 +39,6 @@ let default_config =
     max_clauses = 20;
     timeout = Some 600.;
   }
-
-exception Timed_out
 
 type clause_state = {
   clause : Logic.Clause.t;
@@ -155,13 +155,13 @@ let foil_gain ~p0 ~n0 ~p1 ~n1 =
     float_of_int p1 *. (info p1 n1 -. info p0 n0)
   end
 
-let learn_one_clause ~config ~cov ~check_deadline db bias ~uncovered ~negatives =
+let learn_one_clause ~config ~cov ~budget db bias ~uncovered ~negatives =
   let count clause =
     ( Learning.Coverage.count cov clause uncovered,
       Learning.Coverage.count cov clause negatives )
   in
   let rec grow state p0 n0 =
-    check_deadline ();
+    Budget.check budget;
     if n0 = 0 || Logic.Clause.size state.clause >= config.max_body_literals then
       (state.clause, p0, n0)
     else begin
@@ -172,7 +172,7 @@ let learn_one_clause ~config ~cov ~check_deadline db bias ~uncovered ~negatives 
       let best = ref None in
       List.iter
         (fun cand ->
-          check_deadline ();
+          Budget.check budget;
           let state' = extend_state state cand in
           let p1, n1 = count state'.clause in
           let gain = foil_gain ~p0 ~n0 ~p1 ~n1 in
@@ -193,7 +193,7 @@ let learn_one_clause ~config ~cov ~check_deadline db bias ~uncovered ~negatives 
 type result = {
   definition : Logic.Clause.definition;
   elapsed : float;
-  timed_out : bool;
+  degradation : Budget.degradation;
 }
 
 (** [learn ?config cov ~positives ~negatives] runs the FOIL covering loop.
@@ -202,21 +202,16 @@ type result = {
 let learn ?(config = default_config) cov ~positives ~negatives =
   let db = Learning.Coverage.database cov in
   let bias = Learning.Coverage.bias cov in
-  let t0 = Unix.gettimeofday () in
-  let deadline = Option.map (fun s -> t0 +. s) config.timeout in
-  let check_deadline () =
-    match deadline with
-    | Some d when Unix.gettimeofday () > d -> raise Timed_out
-    | _ -> ()
-  in
+  let t0 = Budget.now () in
+  let budget, cov = Learning.Coverage.scope cov ~timeout:config.timeout in
   let definition = ref [] in
   let uncovered = ref positives in
-  let timed_out = ref false in
+  let status = ref Budget.Completed in
   (try
      let progress = ref true in
      while !progress && !uncovered <> [] && List.length !definition < config.max_clauses do
        let clause, p, n =
-         learn_one_clause ~config ~cov ~check_deadline db bias
+         learn_one_clause ~config ~cov ~budget db bias
            ~uncovered:!uncovered ~negatives
        in
        let precision =
@@ -235,9 +230,9 @@ let learn ?(config = default_config) cov ~positives ~negatives =
        end
        else progress := false
      done
-   with Timed_out -> timed_out := true);
+   with Budget.Expired st -> status := st);
   {
     definition = List.rev !definition;
-    elapsed = Unix.gettimeofday () -. t0;
-    timed_out = !timed_out;
+    elapsed = Budget.now () -. t0;
+    degradation = Budget.degradation ~status:!status budget;
   }

@@ -25,11 +25,13 @@ val foil_gain : p0:int -> n0:int -> p1:int -> n1:int -> float
 type result = {
   definition : Logic.Clause.definition;
   elapsed : float;
-  timed_out : bool;
+  degradation : Budget.degradation;  (** why the run ended; its counters *)
 }
 
 (** [learn ?config cov ~positives ~negatives] — the covering loop; [cov]
-    supplies coverage testing and the mode language. *)
+    supplies coverage testing, the mode language and the run's budget,
+    scoped to [config.timeout] and checked before every refinement and
+    candidate literal. *)
 val learn :
   ?config:config ->
   Learning.Coverage.t ->

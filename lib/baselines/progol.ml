@@ -14,7 +14,8 @@
     subsumption lattice between the empty clause and ⊥(e) — narrower than
     FOIL's literal schemas, wider than ARMG's example-driven jumps. It is
     included as an extension baseline and for the bench's search-strategy
-    ablation. *)
+    ablation. Like {!Learning.Learn}, a run answers to its coverage
+    context's budget scoped to [timeout] ({!Learning.Coverage.scope}). *)
 
 type config = {
   bc : Learning.Bottom_clause.config;
@@ -37,8 +38,6 @@ let default_config =
     timeout = Some 600.;
   }
 
-exception Timed_out
-
 (* Literals of [bottom] addable to [clause]: head-connected w.r.t. the
    clause's current variables and not already present. *)
 let addable bottom clause =
@@ -50,22 +49,7 @@ let addable bottom clause =
       && Logic.Literal.shares_var lit vars)
     (Logic.Clause.body bottom)
 
-(* Uniform sample without replacement of at most [n] elements. *)
-let sample_list rng n l =
-  let arr = Array.of_list l in
-  let len = Array.length arr in
-  if len <= n then l
-  else begin
-    for i = len - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp
-    done;
-    Array.to_list (Array.sub arr 0 n)
-  end
-
-let learn_one_clause ~config ~cov ~check_deadline ~rng ~uncovered ~negatives =
+let learn_one_clause ~config ~cov ~budget ~rng ~uncovered ~negatives =
   match uncovered with
   | [] -> None
   | seed :: _ ->
@@ -78,10 +62,11 @@ let learn_one_clause ~config ~cov ~check_deadline ~rng ~uncovered ~negatives =
       let head = Logic.Clause.head bottom in
       (* Search scores run on bounded subsamples (like {!Learning.Learn});
          the caller re-checks acceptance on the full training set. *)
-      let eval_pos = seed :: sample_list rng 19 (List.filter (fun e -> e != seed) uncovered) in
-      let eval_neg = sample_list rng 30 negatives in
+      let sample = Logic.Util.sample rng in
+      let eval_pos = seed :: sample 19 (List.filter (fun e -> e != seed) uncovered) in
+      let eval_neg = sample 30 negatives in
       let score clause =
-        check_deadline ();
+        Budget.check budget;
         let p = Learning.Coverage.count cov clause eval_pos in
         let n = Learning.Coverage.count cov clause eval_neg in
         (p, n)
@@ -201,27 +186,22 @@ let learn_one_clause ~config ~cov ~check_deadline ~rng ~uncovered ~negatives =
 type result = {
   definition : Logic.Clause.definition;
   elapsed : float;
-  timed_out : bool;
+  degradation : Budget.degradation;
 }
 
 (** [learn ?config cov ~rng ~positives ~negatives] runs the covering loop
     with bottom-clause-guided top-down clause search. *)
 let learn ?(config = default_config) cov ~rng ~positives ~negatives =
-  let t0 = Unix.gettimeofday () in
-  let deadline = Option.map (fun s -> t0 +. s) config.timeout in
-  let check_deadline () =
-    match deadline with
-    | Some d when Unix.gettimeofday () > d -> raise Timed_out
-    | _ -> ()
-  in
+  let t0 = Budget.now () in
+  let budget, cov = Learning.Coverage.scope cov ~timeout:config.timeout in
   let definition = ref [] in
   let uncovered = ref positives in
-  let timed_out = ref false in
+  let status = ref Budget.Completed in
   (try
      let continue = ref true in
      while !continue && !uncovered <> [] && List.length !definition < config.max_clauses do
        match
-         learn_one_clause ~config ~cov ~check_deadline ~rng
+         learn_one_clause ~config ~cov ~budget ~rng
            ~uncovered:!uncovered ~negatives
        with
        | None -> continue := false
@@ -247,9 +227,9 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
               covers it), or no acceptable clause generalizes it. *)
            uncovered := List.filter (fun e -> e != seed) !uncovered
      done
-   with Timed_out -> timed_out := true);
+   with Budget.Expired st -> status := st);
   {
     definition = List.rev !definition;
-    elapsed = Unix.gettimeofday () -. t0;
-    timed_out = !timed_out;
+    elapsed = Budget.now () -. t0;
+    degradation = Budget.degradation ~status:!status budget;
   }

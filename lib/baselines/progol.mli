@@ -21,12 +21,14 @@ val default_config : config
 type result = {
   definition : Logic.Clause.definition;
   elapsed : float;
-  timed_out : bool;
+  degradation : Budget.degradation;  (** why the run ended; its counters *)
 }
 
 (** [learn ?config cov ~rng ~positives ~negatives] — covering loop with
     bottom-clause-guided top-down clause search. Search scores run on
-    bounded subsamples; acceptance re-checks on the full training sets. *)
+    bounded subsamples; acceptance re-checks on the full training sets.
+    [cov]'s budget, scoped to [config.timeout], is checked before every
+    node score. *)
 val learn :
   ?config:config ->
   Learning.Coverage.t ->

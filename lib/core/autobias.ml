@@ -63,9 +63,10 @@ type config = {
           learned definition is bit-identical either way — [false] is the
           A/B baseline *)
   budget : Budget.t option;
-      (** run governance: cancelling it stops any learning entry point
-          cooperatively; its counters aggregate across folds. Each run still
-          scopes its own [timeout]-bounded child. [None] = private budgets. *)
+      (** run governance for every method ({!learn_once} attaches it to the
+          learner's coverage context): cancelling it stops any learning
+          entry point cooperatively; its counters aggregate across folds.
+          Each run still scopes its own [timeout]-bounded child. *)
   pool : Parallel.Pool.t option;
       (** domain pool threaded into the learner's hot paths (ARMG
           candidate generation, candidate evaluation, acceptance counting,
@@ -141,11 +142,11 @@ type bias_info = {
     predicate/mode generation); the others are instantaneous. *)
 let bias_for method_ config (dataset : Datasets.Dataset.t) ~train_pos =
   Obs.Trace.span ~cat:"discovery" "bias_for" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Budget.now () in
   let schema = Relational.Database.schema dataset.Datasets.Dataset.db in
   let target = dataset.Datasets.Dataset.target in
   let finish bias induction =
-    { bias; induction; bias_time = Unix.gettimeofday () -. t0 }
+    { bias; induction; bias_time = Budget.now () -. t0 }
   in
   match method_ with
   | Castor -> finish (Bias.Language.castor ~schema ~target) None
@@ -174,20 +175,14 @@ let bc_config config =
 
 let learn_config config =
   {
-    Learning.Learn.bc = bc_config config;
+    Learning.Learn.default_config with
+    bc = bc_config config;
     beam_width = config.beam_width;
     generalization_sample = config.generalization_sample;
-    max_beam_steps = 8;
-    eval_positives = Learning.Learn.default_config.Learning.Learn.eval_positives;
-    eval_negatives = Learning.Learn.default_config.Learning.Learn.eval_negatives;
     min_positives = config.min_positives;
     min_precision = config.min_precision;
     max_clauses = config.max_clauses;
-    clause_timeout = Learning.Learn.default_config.Learning.Learn.clause_timeout;
-    max_consecutive_skips =
-      Learning.Learn.default_config.Learning.Learn.max_consecutive_skips;
     timeout = config.timeout;
-    budget = config.budget;
     pool = config.pool;
     checkpoint = config.checkpoint;
     checkpoint_every = config.checkpoint_every;
@@ -215,10 +210,8 @@ type run_result = {
   definition : Logic.Clause.definition;
   bias_info : bias_info;
   learn_time : float;
-  timed_out : bool;
-  degradation : Budget.degradation option;
-      (** budget accounting for the run; [None] only for the {!Foil}
-          baseline, which predates the governance layer *)
+  degradation : Budget.degradation;
+      (** why the run ended, and the budget accounting for it *)
   prune : Learning.Coverage.prune_stats option;
       (** failure-constraint store traffic for the run's coverage context;
           [None] when pruning is off *)
@@ -234,28 +227,31 @@ let learn_once ?(config = default_config) method_ dataset ~rng ~train_pos
   @@ fun () ->
   let bias_info = bias_for method_ config dataset ~train_pos in
   let cov = coverage_context config dataset bias_info.bias ~rng in
-  let t0 = Unix.gettimeofday () in
-  let definition, timed_out, degradation =
+  (* the learner runs under [config.budget]; [cov] itself stays
+     budget-free, like every scoring context *)
+  let learner_cov =
+    Option.fold ~none:cov ~some:(Learning.Coverage.with_budget cov) config.budget
+  in
+  let t0 = Budget.now () in
+  let definition, degradation =
     match method_ with
     | Foil ->
-        let r = Baselines.Foil.learn ~config:(foil_config config) cov
+        let r =
+          Baselines.Foil.learn ~config:(foil_config config) learner_cov
             ~positives:train_pos ~negatives:train_neg
         in
-        (r.Baselines.Foil.definition, r.Baselines.Foil.timed_out, None)
+        (r.Baselines.Foil.definition, r.Baselines.Foil.degradation)
     | Castor | No_const | Manual | Auto_bias ->
         let r =
-          Learning.Learn.learn ~config:(learn_config config) cov ~rng
+          Learning.Learn.learn ~config:(learn_config config) learner_cov ~rng
             ~positives:train_pos ~negatives:train_neg
         in
-        ( r.Learning.Learn.definition,
-          r.Learning.Learn.stats.Learning.Learn.timed_out,
-          Some r.Learning.Learn.degradation )
+        (r.Learning.Learn.definition, r.Learning.Learn.degradation)
   in
   {
     definition;
     bias_info;
-    learn_time = Unix.gettimeofday () -. t0;
-    timed_out;
+    learn_time = Budget.now () -. t0;
     degradation;
     prune =
       (if Learning.Coverage.pruning_enabled cov then
@@ -284,7 +280,7 @@ let cross_validate ?(config = default_config) ?k method_
       run =
         (fun ~rng ~train_pos ~train_neg ->
           let r = learn_once ~config method_ dataset ~rng ~train_pos ~train_neg in
-          (r.definition, r.timed_out));
+          (r.definition, r.degradation.Budget.status));
     }
   in
   Evaluation.Cross_validation.run ?pool:config.pool ~k learner score_cov ~rng

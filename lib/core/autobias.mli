@@ -44,10 +44,10 @@ type config = {
           definitions are bit-identical either way — [false] is the A/B
           baseline *)
   budget : Budget.t option;
-      (** run governance (deadline + cancellation + degradation counters):
-          cancelling it stops any learning entry point cooperatively; each
-          run still scopes its own [timeout]-bounded child. [None] (the
-          default) gives every run a private budget. *)
+      (** run governance (deadline + cancellation + degradation counters)
+          for every method, {!Foil} included: cancelling it stops any
+          learning entry point cooperatively; each run still scopes its own
+          [timeout]-bounded child. [None] (the default) = private budgets. *)
   pool : Parallel.Pool.t option;
       (** domain pool threaded into the learner's hot paths (ARMG
           candidate generation, candidate evaluation, acceptance counting,
@@ -108,16 +108,17 @@ type run_result = {
   definition : Logic.Clause.definition;
   bias_info : bias_info;
   learn_time : float;
-  timed_out : bool;
-  degradation : Budget.degradation option;
-      (** budget accounting; [None] only for the {!Foil} baseline *)
+  degradation : Budget.degradation;
+      (** why the run ended ([Completed] or not: the paper's ">10h" cells)
+          and the budget accounting for it *)
   prune : Learning.Coverage.prune_stats option;
       (** failure-constraint store traffic (probes / hits / constraints)
           for the run's coverage context; [None] when pruning is off *)
 }
 
 (** [learn_once ?config method_ dataset ~rng ~train_pos ~train_neg] learns a
-    definition on one training split. *)
+    definition on one training split, under [config.budget] (attached to
+    the learner's coverage context only) scoped to [config.timeout]. *)
 val learn_once :
   ?config:config ->
   method_ ->

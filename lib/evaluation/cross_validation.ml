@@ -12,8 +12,8 @@ type learner = {
     rng:Random.State.t ->
     train_pos:Relational.Relation.tuple list ->
     train_neg:Relational.Relation.tuple list ->
-    Logic.Clause.definition * bool;
-      (** returns the definition and whether the run timed out *)
+    Logic.Clause.definition * Budget.status;
+      (** returns the definition and why the run ended *)
 }
 (** A learner under evaluation. The coverage context (bias, sampling, ground
     BCs) is baked into [run] by the caller; cross-validation only shuffles
@@ -23,7 +23,7 @@ type fold_result = {
   fold : int;
   metrics : Metrics.t;
   learn_time : float;
-  timed_out : bool;
+  status : Budget.status;
   definition : Logic.Clause.definition;
 }
 
@@ -61,13 +61,13 @@ let run ?pool ?(k = 10) learner cov ~rng ~positives ~negatives =
     and train_neg =
       List.concat (List.filteri (fun i _ -> i <> fold) (Array.to_list neg_folds))
     in
-    let t0 = Unix.gettimeofday () in
-    let definition, timed_out = learner.run ~rng ~train_pos ~train_neg in
-    let learn_time = Unix.gettimeofday () -. t0 in
+    let t0 = Budget.now () in
+    let definition, status = learner.run ~rng ~train_pos ~train_neg in
+    let learn_time = Budget.now () -. t0 in
     let metrics =
       Metrics.evaluate cov definition ~positives:test_pos ~negatives:test_neg
     in
-    { fold; metrics; learn_time; timed_out; definition }
+    { fold; metrics; learn_time; status; definition }
   in
   let folds =
     match pool with
@@ -94,7 +94,7 @@ let run ?pool ?(k = 10) learner cov ~rng ~positives ~negatives =
     mean_time =
       List.fold_left (fun acc f -> acc +. f.learn_time) 0. folds
       /. float_of_int (List.length folds);
-    any_timed_out = List.exists (fun f -> f.timed_out) folds;
+    any_timed_out = List.exists (fun f -> f.status <> Budget.Completed) folds;
   }
 
 (** [format_time s] renders seconds the way the paper's tables do

@@ -9,15 +9,15 @@ type learner = {
     rng:Random.State.t ->
     train_pos:Relational.Relation.tuple list ->
     train_neg:Relational.Relation.tuple list ->
-    Logic.Clause.definition * bool;
-      (** returns the definition and whether the run timed out *)
+    Logic.Clause.definition * Budget.status;
+      (** returns the definition and why the run ended *)
 }
 
 type fold_result = {
   fold : int;
   metrics : Metrics.t;
-  learn_time : float;
-  timed_out : bool;
+  learn_time : float;  (** seconds, on the {!Budget.now} clock *)
+  status : Budget.status;
   definition : Logic.Clause.definition;
 }
 
@@ -25,7 +25,7 @@ type result = {
   folds : fold_result list;
   mean_metrics : Metrics.t;
   mean_time : float;
-  any_timed_out : bool;
+  any_timed_out : bool;  (** some fold's status is not [Completed] *)
 }
 
 (** [run ?pool ?k learner cov ~rng ~positives ~negatives] cross-validates

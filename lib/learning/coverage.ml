@@ -155,6 +155,14 @@ let cache_stats t =
     duplicating cached work. *)
 let with_budget t budget = { t with budget = Some budget }
 
+let scope t ~timeout =
+  let b =
+    match t.budget with
+    | Some parent -> Budget.scope ?deadline:timeout parent
+    | None -> Budget.create ?deadline:timeout ()
+  in
+  (b, with_budget t b)
+
 let bias t = t.bias
 let database t = t.db
 

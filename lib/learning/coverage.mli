@@ -65,6 +65,12 @@ val memo_stripe : int -> int
     get their own counters without duplicating cached work. *)
 val with_budget : t -> Budget.t -> t
 
+(** [scope t ~timeout] is [(b, with_budget t b)], [b] a child of the
+    budget [t] reports into (a fresh one when [t] has none) expiring within
+    [timeout] seconds: how every learner runs under its caller's budget
+    (deadline, cancellation, counters) bounded by its own [timeout]. *)
+val scope : t -> timeout:float option -> Budget.t * t
+
 val bias : t -> Bias.Language.t
 val database : t -> Relational.Database.t
 

@@ -23,15 +23,15 @@
     their covered positives are removed; seeds whose best clause fails the
     criterion are set aside so learning always progresses.
 
-    The whole run is governed by a {!Budget.t}: a wall-clock deadline plus a
-    cooperative cancellation token, checked at item granularity (one
-    candidate evaluation, one reduction step, one covering iteration). On
-    expiry the search {e winds down} instead of aborting — in-flight
-    coverage tests finish, skipped candidates are counted, and the
-    definition accumulated so far comes back tagged with a structured
+    The whole run is governed by a {!Budget.t}: the coverage context's
+    budget (see {!Coverage.scope}) scoped to [timeout], checked at item
+    granularity (one candidate evaluation, one reduction step, one covering
+    iteration). On expiry the search {e winds down} instead of aborting —
+    in-flight coverage tests finish, skipped candidates are counted, and
+    the definition accumulated so far comes back tagged with a structured
     {!Budget.degradation} record saying why the run ended
-    (completed / deadline_hit / cancelled) and exactly what was cut. The
-    legacy [timed_out] flag mirrors the paper's ">10h" rows. *)
+    (completed / deadline_hit / cancelled) and exactly what was cut; a
+    status other than [Completed] is the paper's ">10h" row. *)
 
 type config = {
   bc : Bottom_clause.config;  (** bottom-clause depth/sample/strategy *)
@@ -45,21 +45,16 @@ type config = {
   min_precision : float;  (** minimum criterion: training precision *)
   max_clauses : int;
   clause_timeout : float option;
-      (** wall-clock budget for a single clause search (one seed's beam) —
-          keeps one hard seed from eating the whole run's budget *)
+      (** seconds for one seed's beam search, a {!Budget.scope} of the
+          run's budget: a beam it cuts counts as [Budget.Beam_cut], its best
+          clause is still reduced and judged, and the run goes on *)
   max_consecutive_skips : int;
       (** once at least one clause has been accepted, stop after this many
           seeds in a row yield no further acceptable clause — the remaining
           uncovered positives are almost surely label noise. Before the
           first acceptance every seed is tried (the timeout still bounds
           the run). *)
-  timeout : float option;  (** seconds of wall clock for the whole run *)
-  budget : Budget.t option;
-      (** externally supplied governance: cancelling it stops the run
-          cooperatively from any domain, and its counters aggregate across
-          runs that share it (e.g. CV folds). [learn] always scopes a
-          per-call child from it, so [timeout] still bounds each call;
-          [None] gives every call a private budget. *)
+  timeout : float option;  (** seconds for the whole run ({!Coverage.scope}) *)
   pool : Parallel.Pool.t option;
       (** domain pool for ARMG candidate generation, candidate evaluation,
           acceptance counting and ground-BC warming; [None] runs the
@@ -101,7 +96,6 @@ let default_config =
     clause_timeout = Some 10.;
     max_consecutive_skips = 8;
     timeout = Some 600.;
-    budget = None;
     pool = None;
     checkpoint = None;
     checkpoint_every = 1;
@@ -114,7 +108,6 @@ type stats = {
   candidates_evaluated : int;
   seeds_skipped : int;
   elapsed : float;
-  timed_out : bool;
 }
 
 type result = {
@@ -164,20 +157,7 @@ let m_candidates = Obs.Metrics.counter "learn.candidates_evaluated"
 let m_clauses = Obs.Metrics.counter "learn.clauses_accepted"
 let m_clause_search = Obs.Metrics.histogram "learn.clause_search_s"
 
-(* Uniform sample without replacement of at most [n] elements. *)
-let sample_list rng n l =
-  let arr = Array.of_list l in
-  let len = Array.length arr in
-  if len <= n then l
-  else begin
-    for i = len - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp
-    done;
-    Array.to_list (Array.sub arr 0 n)
-  end
+let sample_list = Logic.Util.sample
 
 (* Beam ordering: higher score first, smaller clause on ties — a tie that
    shrinks the clause is progress. *)
@@ -444,17 +424,13 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
   let best = ref (List.hd !beam) in
   let continue = ref true in
   let steps = ref 0 in
-  let clause_deadline =
-    Option.map (fun s -> Unix.gettimeofday () +. s) config.clause_timeout
-  in
-  let clause_time_left () =
-    match clause_deadline with
-    | Some d -> Unix.gettimeofday () < d
-    | None -> true
-  in
+  (* The per-clause limit bounds only the beam loop: a beam it cuts still
+     has its best clause evaluated, reduced and judged below, which all
+     answer to the run's [budget]. *)
+  let clause_budget = Budget.scope ?deadline:config.clause_timeout budget in
   while
-    !continue && !steps < config.max_beam_steps && clause_time_left ()
-    && not (Budget.expired budget)
+    !continue && !steps < config.max_beam_steps
+    && not (Budget.expired clause_budget)
   do
     incr steps;
     Budget.set_phase budget (Printf.sprintf "beam_step %d" !steps);
@@ -576,7 +552,7 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
      what distinguishes "this seed converged" from "we ran out of time". *)
   if
     !continue && !steps < config.max_beam_steps
-    && (Budget.expired budget || not (clause_time_left ()))
+    && Budget.expired clause_budget
   then Budget.hit budget Budget.Beam_cut;
   (* If the raw bottom clause survived as the winner, give it a real
      evaluation: its placeholder score assumed it covers only its seed, but
@@ -640,16 +616,11 @@ let meets_criterion ~config ~pos_covered ~neg_covered =
     returns the learned Horn definition with run statistics and the
     degradation record saying why the run ended. *)
 let learn ?(config = default_config) cov ~rng ~positives ~negatives =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Budget.now () in
   (* Always scope a per-call child: [config.timeout] bounds this call even
-     when the caller's budget is shared across many (e.g. CV folds), while
+     when the context's budget is shared across many (e.g. CV folds), while
      cancellation and counters stay aggregated on the shared cells. *)
-  let budget =
-    match config.budget with
-    | Some b -> Budget.scope ?deadline:config.timeout b
-    | None -> Budget.create ?deadline:config.timeout ()
-  in
-  let cov = Coverage.with_budget cov budget in
+  let budget, cov = Coverage.scope cov ~timeout:config.timeout in
   let faults_before, restarts_before, quarantined_before =
     match config.pool with
     | Some p ->
@@ -709,7 +680,7 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
             candidates_evaluated = Atomic.get candidates_evaluated;
             rng = Random.State.copy rng;
             counters = Budget.counters_to_assoc (Budget.counters budget);
-            elapsed_s = !base_elapsed +. (Unix.gettimeofday () -. t0);
+            elapsed_s = !base_elapsed +. (Budget.now () -. t0);
             constraints = Coverage.export_constraints cov;
           }
         in
@@ -841,7 +812,6 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
   | None -> ());
   Budget.set_phase budget "done";
   let degradation = Budget.degradation ~status:!status budget in
-  let elapsed = !base_elapsed +. (Unix.gettimeofday () -. t0) in
   {
     definition = List.rev !definition;
     stats =
@@ -849,8 +819,7 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
         clauses = List.length !definition;
         candidates_evaluated = Atomic.get candidates_evaluated;
         seeds_skipped = !seeds_skipped;
-        elapsed;
-        timed_out = not (Budget.equal_status !status Budget.Completed);
+        elapsed = !base_elapsed +. (Budget.now () -. t0);
       };
     degradation;
   }

@@ -8,8 +8,9 @@
     search winds down cooperatively — the definition accumulated so far is
     returned, tagged with a {!Budget.degradation} record saying why the run
     ended and which corners were cut (candidates abandoned, beam rounds
-    truncated, coverage frontiers truncated, …). The legacy [timed_out] flag
-    mirrors the paper's ">10h" rows. *)
+    truncated, coverage frontiers truncated, …). The run's budget is the
+    coverage context's ({!Coverage.scope}), scoped to [timeout]; a status
+    other than [Completed] is the paper's ">10h" row. *)
 
 type config = {
   bc : Bottom_clause.config;
@@ -23,17 +24,14 @@ type config = {
   min_precision : float;  (** minimum criterion: training precision *)
   max_clauses : int;
   clause_timeout : float option;
-      (** wall-clock budget for a single clause search (one seed's beam) *)
+      (** seconds for one seed's beam search, a {!Budget.scope} of the
+          run's budget bounding only the beam loop: a cut beam counts as
+          [Budget.Beam_cut], its best clause is still reduced and judged,
+          and the run's status is unaffected *)
   max_consecutive_skips : int;
       (** once a clause has been accepted, stop after this many consecutive
           unproductive seeds (pre-acceptance, all seeds are tried) *)
-  timeout : float option;  (** wall-clock seconds for the whole run *)
-  budget : Budget.t option;
-      (** externally supplied governance: cancelling it stops the run
-          cooperatively from any domain; counters aggregate across runs
-          sharing it (e.g. CV folds). [learn] scopes a per-call child, so
-          [timeout] still bounds each call. [None] (the default) gives each
-          call a private budget — behavior identical to pre-governance. *)
+  timeout : float option;  (** seconds for the whole run ({!Coverage.scope}) *)
   pool : Parallel.Pool.t option;
       (** domain pool for ARMG candidate generation, candidate evaluation,
           acceptance counting and ground-BC warming; [None] (the default)
@@ -75,8 +73,7 @@ type stats = {
   clauses : int;
   candidates_evaluated : int;
   seeds_skipped : int;  (** positives whose best clause failed the criterion *)
-  elapsed : float;
-  timed_out : bool;
+  elapsed : float;  (** seconds, on the {!Budget.now} clock *)
 }
 
 type result = {
@@ -90,12 +87,14 @@ type result = {
 (** [learn ?config cov ~rng ~positives ~negatives] runs Algorithm 1.
     Clause acceptance is always checked on the full training sets.
 
-    Anytime guarantees: with an already-elapsed deadline the call returns
-    immediately with the empty definition and
-    [degradation.status = Deadline_hit]; cancelling [config.budget] from
-    another domain stops the run within one coverage-test granularity; with
-    a generous deadline the result is identical to an unbudgeted run on the
-    same seed. *)
+    The run is governed by [cov]'s budget ({!Coverage.scope}; a private
+    one when [cov] has none), scoped to [config.timeout]; coverage counters
+    report into that scope. Anytime guarantees: with an already-elapsed
+    deadline the call returns immediately with the empty definition and
+    [degradation.status = Deadline_hit]; cancelling the context's budget
+    from another domain stops the run within one coverage-test
+    granularity; with a generous deadline the result is identical to an
+    unbudgeted run on the same seed. *)
 val learn :
   ?config:config ->
   Coverage.t ->

@@ -171,6 +171,11 @@ let parse_layers s =
   |> List.map String.trim
   |> List.filter (fun s -> s <> "")
 
+let configure_flags ~p_fault ~p_kill ~layers ~seed =
+  if p_fault <> None || layers <> None then
+    configure ?p_kill ~p_fault:(Option.value p_fault ~default:0.) ~seed
+      (parse_layers (Option.value layers ~default:"pool"))
+
 let from_env () =
   match Sys.getenv_opt "AUTOBIAS_CHAOS_LAYERS" with
   | None | Some "" -> ()

@@ -116,6 +116,15 @@ val snapshot : unit -> (string * counts) list
     names for {!configure}. *)
 val parse_layers : string -> string list
 
+(** [configure_flags ~p_fault ~p_kill ~layers ~seed] — the binaries'
+    [--chaos], [--chaos-kill] and [--chaos-layers] flags: {!configure} the
+    [layers] list (["pool"] when [None]) at [p_fault] ([0.] when [None]); a
+    no-op when both are [None]. A pool takes its injector from
+    [get "pool"]. *)
+val configure_flags :
+  p_fault:float option -> p_kill:float option -> layers:string option ->
+  seed:int -> unit
+
 (** [from_env ()] configures the registry from the environment:
     [AUTOBIAS_CHAOS_LAYERS] (comma list or ["all"]) gates everything;
     probability from [AUTOBIAS_CHAOS], seed from [AUTOBIAS_CHAOS_SEED]

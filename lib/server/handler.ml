@@ -57,7 +57,8 @@ let learn_payload (r : Autobias.run_result) =
       Obs.Json.Str (Logic.Clause.definition_to_string r.Autobias.definition) );
     ("clauses", Obs.Json.Int (List.length r.Autobias.definition));
     ("learn_time_s", Obs.Json.Float r.Autobias.learn_time);
-    ("timed_out", Obs.Json.Bool r.Autobias.timed_out);
+    ( "timed_out",
+      Obs.Json.Bool (r.Autobias.degradation.Budget.status <> Budget.Completed) );
     ( "bias_size",
       Obs.Json.Int (Bias.Language.size r.Autobias.bias_info.Autobias.bias) );
   ]
@@ -81,7 +82,7 @@ let default catalog ~budget request =
         None )
   | Protocol.Learn c ->
       let _, _, _, r = learn ~budget catalog c in
-      (learn_payload r, r.Autobias.degradation)
+      (learn_payload r, Some r.Autobias.degradation)
   | Protocol.Infer (c, limit) ->
       let dataset, _, _, r = learn ~budget catalog c in
       let derived =
@@ -98,7 +99,7 @@ let default catalog ~budget request =
             ("derived", Obs.Json.Int (List.length derived));
             ("tuples", Obs.Json.List tuples);
           ],
-        r.Autobias.degradation )
+        Some r.Autobias.degradation )
   | Protocol.Explain (c, limit) ->
       let dataset, config, rng, r = learn ~budget catalog c in
       let cov =
@@ -126,4 +127,4 @@ let default catalog ~budget request =
             ( "negatives",
               Obs.Json.List (explain_some dataset.Datasets.Dataset.negatives) );
           ],
-        r.Autobias.degradation )
+        Some r.Autobias.degradation )

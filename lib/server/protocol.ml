@@ -38,6 +38,9 @@ type response = {
   attempts : int;
 }
 
+let default_timeout =
+  Option.value Autobias.default_config.Autobias.timeout ~default:Float.infinity
+
 let default_common dataset =
   {
     dataset;
@@ -45,7 +48,7 @@ let default_common dataset =
     strategy = "naive";
     scale = 1.0;
     seed = 42;
-    timeout = 30.;
+    timeout = default_timeout;
     deadline = None;
   }
 

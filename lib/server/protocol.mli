@@ -14,9 +14,9 @@
     Responses are single-line JSON ({!response_to_json}); a submission the
     daemon refuses gets a typed {!rejection} instead of a silent drop. *)
 
-(** The knobs shared by every request verb; defaults mirror the CLI
+(** The knobs shared by every request verb; defaults are the CLI's
     ([method=autobias], [strategy=naive], [scale=1.0], [seed=42],
-    [timeout=30], no deadline). *)
+    [timeout=]{!default_timeout}, no deadline). *)
 type common = {
   dataset : string;  (** uw | imdb | hiv | flt | sys *)
   method_ : string;  (** parsed by [Autobias.method_of_string] at execution *)
@@ -54,6 +54,10 @@ type response = {
   latency_s : float;  (** submission to completion, seconds *)
   attempts : int;  (** attempts consumed (1 = first try succeeded) *)
 }
+
+(** The learner timeout of [Autobias.default_config] (120 s): the default
+    of both [timeout=] here and the CLI's [--timeout]. *)
+val default_timeout : float
 
 val default_common : string -> common
 val common_of_request : request -> common

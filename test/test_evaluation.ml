@@ -59,7 +59,7 @@ let cv_tests =
                     let c = try Hashtbl.find seen_train e with Not_found -> 0 in
                     Hashtbl.replace seen_train e (c + 1))
                   train_pos;
-                ([], false));
+                ([], Budget.Completed));
           }
         in
         let rng = Random.State.make [| 4 |] in
@@ -84,7 +84,7 @@ let cv_tests =
       (fun () ->
         let d = Datasets.Uw.generate ~scale:0.4 () in
         let learner =
-          { Cross_validation.name = "noop"; run = (fun ~rng:_ ~train_pos:_ ~train_neg:_ -> ([], false)) }
+          { Cross_validation.name = "noop"; run = (fun ~rng:_ ~train_pos:_ ~train_neg:_ -> ([], Budget.Completed)) }
         in
         let rng = Random.State.make [| 4 |] in
         let cov =
@@ -101,7 +101,7 @@ let cv_tests =
     Alcotest.test_case "timeouts are surfaced" `Quick (fun () ->
         let d = Datasets.Uw.generate ~scale:0.4 () in
         let learner =
-          { Cross_validation.name = "slow"; run = (fun ~rng:_ ~train_pos:_ ~train_neg:_ -> ([], true)) }
+          { Cross_validation.name = "slow"; run = (fun ~rng:_ ~train_pos:_ ~train_neg:_ -> ([], Budget.Deadline_hit)) }
         in
         let rng = Random.State.make [| 4 |] in
         let cov =

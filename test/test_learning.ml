@@ -275,7 +275,7 @@ let learn_tests =
             ~negatives:d.Datasets.Dataset.negatives
         in
         Alcotest.(check bool) "timed out" true
-          r.Learning.Learn.stats.Learning.Learn.timed_out);
+          (r.Learning.Learn.degradation.Budget.status <> Budget.Completed));
     Alcotest.test_case "no positives yields the empty definition" `Quick
       (fun () ->
         let d = Datasets.Uw.generate ~scale:0.3 () in

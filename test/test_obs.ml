@@ -521,18 +521,13 @@ let signal_tests =
                 let d = Datasets.Uw.generate ~seed:7 ~scale:0.3 () in
                 let rng = Random.State.make [| 7 |] in
                 let cov =
-                  Learning.Coverage.create d.Datasets.Dataset.db
+                  Learning.Coverage.create ~budget d.Datasets.Dataset.db
                     d.Datasets.Dataset.manual_bias ~rng
                 in
                 let r =
                   Trace.with_context ~job:"job-sig" (fun () ->
-                      Learning.Learn.learn
-                        ~config:
-                          {
-                            Learning.Learn.default_config with
-                            budget = Some budget;
-                          }
-                        cov ~rng ~positives:d.Datasets.Dataset.positives
+                      Learning.Learn.learn cov ~rng
+                        ~positives:d.Datasets.Dataset.positives
                         ~negatives:d.Datasets.Dataset.negatives)
                 in
                 Domain.join killer;

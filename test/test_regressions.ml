@@ -179,7 +179,7 @@ let clause_timeout_test =
       in
       let elapsed = Unix.gettimeofday () -. t0 in
       Alcotest.(check bool) "no global timeout" false
-        r.Learning.Learn.stats.Learning.Learn.timed_out;
+        (r.Learning.Learn.degradation.Budget.status <> Budget.Completed);
       Alcotest.(check bool) "finished well under the global budget" true
         (elapsed < 55.))
 

@@ -12,16 +12,16 @@ module Learn = Learning.Learn
 
 let uw ~seed = Datasets.Uw.generate ~seed ~scale:0.4 ()
 
-let coverage_of ?use_cache d ~seed =
+let coverage_of ?budget ?use_cache d ~seed =
   let rng = Random.State.make [| seed |] in
-  ( Coverage.create ?use_cache d.Datasets.Dataset.db
+  ( Coverage.create ?budget ?use_cache d.Datasets.Dataset.db
       d.Datasets.Dataset.manual_bias ~rng,
     rng )
 
 let learn_uw ?budget ?timeout ?pool ?use_cache ~seed () =
   let d = uw ~seed in
-  let cov, rng = coverage_of ?use_cache d ~seed in
-  let config = { Learn.default_config with budget; timeout; pool } in
+  let cov, rng = coverage_of ?budget ?use_cache d ~seed in
+  let config = { Learn.default_config with timeout; pool } in
   Learn.learn ~config cov ~rng ~positives:d.Datasets.Dataset.positives
     ~negatives:d.Datasets.Dataset.negatives
 
@@ -302,8 +302,8 @@ let learner_tests =
         Alcotest.(check bool) "immediate" true (elapsed < 2.0);
         Alcotest.(check int) "no clauses accepted after expiry" 0
           (List.length r.Learn.definition);
-        Alcotest.(check bool) "legacy flag set" true
-          r.Learn.stats.Learn.timed_out);
+        Alcotest.(check bool) "status is not completed" true
+          (r.Learn.degradation.Budget.status <> Budget.Completed));
     Alcotest.test_case "pre-cancelled budget: immediate, status cancelled"
       `Quick (fun () ->
         let b = Budget.create () in
@@ -325,7 +325,7 @@ let learner_tests =
         Alcotest.(check string) "completed" "completed"
           (Budget.status_to_string budgeted.Learn.degradation.Budget.status);
         Alcotest.(check bool) "not timed out" false
-          budgeted.Learn.stats.Learn.timed_out);
+          (budgeted.Learn.degradation.Budget.status <> Budget.Completed));
     Alcotest.test_case "cancellation mid-run winds down promptly" `Slow
       (fun () ->
         let b = Budget.create () in
@@ -415,9 +415,10 @@ let learner_tests =
           (c.Budget.subsumption_tries >= 0
           && Budget.counters_leq Budget.zero c);
         Alcotest.(check bool) "status is honest" true
-          (Budget.status_to_string r.Learn.degradation.Budget.status
-          <> "completed"
-          || not r.Learn.stats.Learn.timed_out));
+          (match r.Learn.degradation.Budget.status with
+          | Budget.Deadline_hit -> Budget.expired b
+          | Budget.Cancelled -> Budget.is_cancelled b
+          | Budget.Completed -> true));
   ]
 
 (* ---------------- typed CSV errors ---------------- *)
@@ -462,6 +463,81 @@ let csv_tests =
                   > String.length path)));
   ]
 
+(* ---------------- the baselines answer to the same budget ---------------- *)
+
+(* HIV, small: unbudgeted FOIL and Progol each learn a clause in well under
+   a second, so an empty answer below is the budget's doing. *)
+let hiv_small () = Datasets.Hiv.generate ~seed:42 ~scale:0.1 ()
+
+let status_of (d : Budget.degradation) = Budget.status_to_string d.Budget.status
+
+let progol ?budget ?timeout d =
+  let cov, rng = coverage_of ?budget d ~seed:42 in
+  Baselines.Progol.learn
+    ~config:{ Baselines.Progol.default_config with timeout }
+    cov ~rng ~positives:d.Datasets.Dataset.positives
+    ~negatives:d.Datasets.Dataset.negatives
+
+let foil ?timeout d =
+  let cov, _ = coverage_of d ~seed:42 in
+  Baselines.Foil.learn
+    ~config:{ Baselines.Foil.default_config with timeout }
+    cov ~positives:d.Datasets.Dataset.positives
+    ~negatives:d.Datasets.Dataset.negatives
+
+let baseline_tests =
+  [
+    Alcotest.test_case "FOIL via learn_once: a cancelled budget stops it"
+      `Quick (fun () ->
+        let d = hiv_small () in
+        let learn budget =
+          Autobias.learn_once
+            ~config:{ Autobias.default_config with budget }
+            Autobias.Foil d ~rng:(Random.State.make [| 42 |])
+            ~train_pos:d.Datasets.Dataset.positives
+            ~train_neg:d.Datasets.Dataset.negatives
+        in
+        let free = learn None in
+        Alcotest.(check bool) "unbudgeted FOIL learns a clause" true
+          (free.Autobias.definition <> []);
+        Alcotest.(check string) "unbudgeted FOIL completes" "completed"
+          (status_of free.Autobias.degradation);
+        let b = Budget.create () in
+        Budget.cancel b;
+        let r = learn (Some b) in
+        Alcotest.(check int) "no clause" 0 (List.length r.Autobias.definition);
+        Alcotest.(check string) "cancelled" "cancelled"
+          (status_of r.Autobias.degradation));
+    Alcotest.test_case "Progol: a cancelled context budget stops it" `Quick
+      (fun () ->
+        let d = hiv_small () in
+        let free = progol d in
+        Alcotest.(check bool) "unbudgeted Progol learns a clause" true
+          (free.Baselines.Progol.definition <> []);
+        let b = Budget.create () in
+        Budget.cancel b;
+        let r = progol ~budget:b d in
+        Alcotest.(check int) "no clause" 0
+          (List.length r.Baselines.Progol.definition);
+        Alcotest.(check string) "cancelled" "cancelled"
+          (status_of r.Baselines.Progol.degradation));
+    Alcotest.test_case "FOIL and Progol: timeout 0 reads deadline_hit" `Quick
+      (fun () ->
+        let d = hiv_small () in
+        Alcotest.(check string) "FOIL" "deadline_hit"
+          (status_of (foil ~timeout:0. d).Baselines.Foil.degradation);
+        Alcotest.(check string) "Progol" "deadline_hit"
+          (status_of (progol ~timeout:0. d).Baselines.Progol.degradation));
+    Alcotest.test_case "FOIL's coverage calls report into its budget" `Quick
+      (fun () ->
+        let r = foil ~timeout:60. (hiv_small ()) in
+        Alcotest.(check string) "completed" "completed"
+          (status_of r.Baselines.Foil.degradation);
+        Alcotest.(check bool) "subsumption tries counted" true
+          (r.Baselines.Foil.degradation.Budget.counters.Budget.subsumption_tries
+          > 0));
+  ]
+
 let suite =
   budget_tests @ qcheck_tests @ anytime_tests @ fault_tests @ learner_tests
-  @ csv_tests
+  @ csv_tests @ baseline_tests

@@ -101,6 +101,15 @@ let protocol_tests =
           (Protocol.rejection_to_json
              (Protocol.Overloaded { retry_after = 0.25 }));
         check_json (Protocol.rejection_to_json Protocol.Draining));
+    Alcotest.test_case "default timeout is the library's and the CLI's"
+      `Quick (fun () ->
+        match Protocol.parse_request "learn uw" with
+        | Ok (Protocol.Learn c) ->
+            Alcotest.(check (option (float 0.)))
+              "timeout" Autobias.default_config.Autobias.timeout
+              (Some c.Protocol.timeout)
+        | Ok _ -> Alcotest.fail "parsed to the wrong verb"
+        | Error e -> Alcotest.fail e);
   ]
 
 (* ---------------- catalog ---------------- *)
@@ -680,8 +689,43 @@ let observability_tests =
                   parsed)));
   ]
 
+(* ---------------- every method answers to the job's budget ---------------- *)
+
+let baseline_deadline_tests =
+  [
+    Alcotest.test_case "a served aleph learn honours its job deadline" `Quick
+      (fun () ->
+        (* SYS at scale 1: unbudgeted FOIL learns for seconds, several
+           times the deadline. Loaded up front, so the deadline lands in
+           the learner, not in data generation. *)
+        let catalog = Catalog.create () in
+        ignore (Result.get_ok (Catalog.load catalog ~name:"sys" ~scale:1.0 ~seed:42));
+        let daemon = Daemon.create (Server.Handler.default catalog) in
+        let request =
+          Protocol.Learn
+            { (Protocol.default_common "sys") with
+              method_ = "aleph"; deadline = Some 0.3 }
+        in
+        match Daemon.submit_and_wait daemon request with
+        | Ok { Protocol.outcome = Protocol.Degraded (payload, d); _ } ->
+            Alcotest.(check string)
+              "deadline hit" "deadline_hit"
+              (Budget.status_to_string d.Budget.status);
+            Alcotest.(check bool) "payload reads timed_out" true
+              (List.assoc_opt "timed_out" payload = Some (Obs.Json.Bool true));
+            Alcotest.(check bool) "FOIL's coverage counters reported" true
+              (List.exists
+                 (fun (_, n) -> n > 0)
+                 (Budget.counters_to_assoc d.Budget.counters))
+        | Ok r ->
+            Alcotest.fail
+              ("expected degraded, got "
+              ^ Protocol.status_of_outcome r.Protocol.outcome)
+        | Error _ -> Alcotest.fail "rejected");
+  ]
+
 let suite =
   protocol_tests @ catalog_tests
   @ [ QCheck_alcotest.to_alcotest admission_property ]
   @ retry_tests @ deadline_tests @ soak_tests @ observability_tests
-  @ determinism_tests
+  @ determinism_tests @ baseline_deadline_tests

@@ -627,7 +627,6 @@ let resilience_bench () =
       { Learning.Learn.default_config with
         timeout = Some options.timeout;
         checkpoint;
-        checkpoint_every = 1;
         resume }
     in
     Obs.Trace.time (fun () ->
@@ -645,7 +644,7 @@ let resilience_bench () =
   let tmp = Filename.temp_file "autobias_bench" ".ckpt.json" in
   let checkpoints = ref [] in
   (* bytes on disk of each written snapshot, newest first; snapshots grow
-     with the failure-constraint store, so one size does not describe them *)
+     with the definition, so one size does not describe them *)
   let sizes = ref [] in
   let sink ck =
     checkpoints := ck :: !checkpoints;

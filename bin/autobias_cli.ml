@@ -99,15 +99,11 @@ let checkpoint_arg =
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
-let checkpoint_every_arg =
-  let doc = "Snapshot every $(docv)-th clause boundary (default 1)." in
-  Arg.(value & opt int 1 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-
 let resume_arg =
   let doc =
     "Resume learning from the snapshot at $(docv) (as written by \
-     --checkpoint). The dataset/method/seed configuration must match the \
-     run that wrote it; the resumed run is bit-identical to an \
+     --checkpoint). The dataset/scale/method/seed configuration must match \
+     the run that wrote it; the resumed run is bit-identical to an \
      uninterrupted run at the same seed."
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
@@ -353,7 +349,7 @@ let load_definition path =
 
 let learn_cmd =
   let run dataset_name method_name strategy scale seed timeout deadline domains
-      chaos chaos_layers chaos_kill checkpoint checkpoint_every resume
+      chaos chaos_layers chaos_kill checkpoint resume
       kill_after cv show_bias output trace events funnel metrics =
     let dataset = dataset_of_name ~scale ~seed dataset_name in
     let method_ = Autobias.method_of_string method_name in
@@ -396,7 +392,8 @@ let learn_cmd =
     end
     else begin
       let fingerprint =
-        Autobias.fingerprint ~dataset:dataset_name ~method_ config ~seed
+        Autobias.fingerprint ~dataset:dataset_name ~scale ~method_ config
+          ~seed
       in
       let resume_ck =
         match resume with
@@ -423,7 +420,11 @@ let learn_cmd =
       let sink =
         Option.map
           (fun path ck ->
-            match Resilience.Checkpoint.save ck path with
+            match
+              Resilience.Checkpoint.save
+                { ck with Resilience.Checkpoint.fingerprint }
+                path
+            with
             | `Written ->
                 incr written;
                 (match kill_after with
@@ -436,15 +437,7 @@ let learn_cmd =
             | `Skipped -> `Skipped)
           checkpoint
       in
-      let config =
-        {
-          config with
-          checkpoint = sink;
-          checkpoint_every = max 1 checkpoint_every;
-          fingerprint;
-          resume = resume_ck;
-        }
-      in
+      let config = { config with checkpoint = sink; resume = resume_ck } in
       let rng = Random.State.make [| seed |] in
       let r =
         Autobias.learn_once ~config method_ dataset ~rng
@@ -519,9 +512,9 @@ let learn_cmd =
     Term.(
       const run $ dataset_arg $ method_arg $ strategy_arg $ scale_arg $ seed_arg
       $ timeout_arg $ deadline_arg $ domains_arg $ chaos_arg $ chaos_layers_arg
-      $ chaos_kill_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ kill_after_arg $ cv_arg $ show_bias_arg $ output_arg $ trace_arg
-      $ events_arg $ funnel_arg $ metrics_arg)
+      $ chaos_kill_arg $ checkpoint_arg $ resume_arg $ kill_after_arg $ cv_arg
+      $ show_bias_arg $ output_arg $ trace_arg $ events_arg $ funnel_arg
+      $ metrics_arg)
 
 (* ---------------- bias ---------------- *)
 

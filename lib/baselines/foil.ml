@@ -192,7 +192,6 @@ let learn_one_clause ~config ~cov ~budget db bias ~uncovered ~negatives =
 
 type result = {
   definition : Logic.Clause.definition;
-  elapsed : float;
   degradation : Budget.degradation;
 }
 
@@ -202,7 +201,6 @@ type result = {
 let learn ?(config = default_config) cov ~positives ~negatives =
   let db = Learning.Coverage.database cov in
   let bias = Learning.Coverage.bias cov in
-  let t0 = Budget.now () in
   let budget, cov = Learning.Coverage.scope cov ~timeout:config.timeout in
   let definition = ref [] in
   let uncovered = ref positives in
@@ -233,6 +231,5 @@ let learn ?(config = default_config) cov ~positives ~negatives =
    with Budget.Expired st -> status := st);
   {
     definition = List.rev !definition;
-    elapsed = Budget.now () -. t0;
     degradation = Budget.degradation ~status:!status budget;
   }

@@ -24,7 +24,6 @@ val foil_gain : p0:int -> n0:int -> p1:int -> n1:int -> float
 
 type result = {
   definition : Logic.Clause.definition;
-  elapsed : float;
   degradation : Budget.degradation;  (** why the run ended; its counters *)
 }
 

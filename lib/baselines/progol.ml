@@ -185,14 +185,12 @@ let learn_one_clause ~config ~cov ~budget ~rng ~uncovered ~negatives =
 
 type result = {
   definition : Logic.Clause.definition;
-  elapsed : float;
   degradation : Budget.degradation;
 }
 
 (** [learn ?config cov ~rng ~positives ~negatives] runs the covering loop
     with bottom-clause-guided top-down clause search. *)
 let learn ?(config = default_config) cov ~rng ~positives ~negatives =
-  let t0 = Budget.now () in
   let budget, cov = Learning.Coverage.scope cov ~timeout:config.timeout in
   let definition = ref [] in
   let uncovered = ref positives in
@@ -230,6 +228,5 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
    with Budget.Expired st -> status := st);
   {
     definition = List.rev !definition;
-    elapsed = Budget.now () -. t0;
     degradation = Budget.degradation ~status:!status budget;
   }

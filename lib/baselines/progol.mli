@@ -20,7 +20,6 @@ val default_config : config
 
 type result = {
   definition : Logic.Clause.definition;
-  elapsed : float;
   degradation : Budget.degradation;  (** why the run ended; its counters *)
 }
 

@@ -74,8 +74,6 @@ type config = {
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
       (** checkpoint sink threaded to {!Learning.Learn} (clause-boundary
           snapshots); [None] disables checkpointing *)
-  checkpoint_every : int;  (** boundary stride for the sink (min 1) *)
-  fingerprint : string;  (** stamped into checkpoints; see {!fingerprint} *)
   resume : Resilience.Checkpoint.t option;
       (** resume the learner from a prior snapshot (validate it first) *)
 }
@@ -102,20 +100,20 @@ let default_config =
     budget = None;
     pool = None;
     checkpoint = None;
-    checkpoint_every = 1;
-    fingerprint = "";
     resume = None;
   }
 
-(** [fingerprint ~dataset ~method_ config ~seed] digests everything that
-    determines a learning run's trajectory — dataset identity, method,
-    sampling strategy, the learner knobs and the seed — into a short hex
-    string. Stamped into checkpoints so {!Resilience.Checkpoint.validate}
-    can reject a resume against a different run setup. *)
-let fingerprint ~dataset ~method_ config ~seed =
+(** [fingerprint ~dataset ~scale ~method_ config ~seed] digests everything
+    that determines a learning run's trajectory — dataset identity and
+    scale, method, sampling strategy, the learner knobs and the seed — into
+    a short hex string. Stamped into checkpoints so
+    {!Resilience.Checkpoint.validate} can reject a resume against a
+    different run setup. *)
+let fingerprint ~dataset ~scale ~method_ config ~seed =
   Resilience.Checkpoint.fingerprint_of_strings
     [
       dataset;
+      Printf.sprintf "%h" scale;
       method_to_string method_;
       Sampling.Strategy.to_string config.strategy;
       string_of_int config.bc_depth;
@@ -185,8 +183,6 @@ let learn_config config =
     timeout = config.timeout;
     pool = config.pool;
     checkpoint = config.checkpoint;
-    checkpoint_every = config.checkpoint_every;
-    fingerprint = config.fingerprint;
     resume = config.resume;
   }
 

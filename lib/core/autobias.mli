@@ -54,15 +54,10 @@ type config = {
           CV folds); [None] = sequential.
           Learned definitions are identical for every pool size. *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
-      (** clause-boundary checkpoint sink threaded to the learner
-          ([--checkpoint FILE] partially applies
-          {!Resilience.Checkpoint.save}); [None] (the default) disables
-          checkpointing *)
-  checkpoint_every : int;
-      (** invoke the sink every [n]-th clause boundary (min 1; default 1) *)
-  fingerprint : string;
-      (** run-setup digest stamped into checkpoints (see {!fingerprint});
-          [""] (the default) stamps nothing *)
+      (** clause-boundary checkpoint sink threaded to the learner, called
+          at every boundary ([--checkpoint FILE] stamps the snapshot with
+          {!fingerprint} and saves it with {!Resilience.Checkpoint.save});
+          [None] (the default) disables checkpointing *)
   resume : Resilience.Checkpoint.t option;
       (** resume the learner from a validated prior snapshot; the resumed
           run is bit-identical to the uninterrupted one at the same seed *)
@@ -71,10 +66,12 @@ type config = {
 (** Defaults follow Section 6.1. *)
 val default_config : config
 
-(** [fingerprint ~dataset ~method_ config ~seed] digests the run setup
-    (dataset name, method, strategy, learner knobs, seed) into a short hex
-    string for {!Resilience.Checkpoint.validate}. *)
-val fingerprint : dataset:string -> method_:method_ -> config -> seed:int -> string
+(** [fingerprint ~dataset ~scale ~method_ config ~seed] digests the run
+    setup (dataset name and scale, method, strategy, learner knobs, seed)
+    into a short hex string for {!Resilience.Checkpoint.validate}. *)
+val fingerprint :
+  dataset:string -> scale:float -> method_:method_ -> config -> seed:int ->
+  string
 
 type bias_info = {
   bias : Bias.Language.t;

@@ -403,26 +403,3 @@ let count_many ?pool t clause examples =
     [example] (Horn-definition coverage, Definition 2.4). *)
 let definition_covers t def example =
   List.exists (fun c -> covers t c example) def
-
-(* {2 Constraint persistence} — the failure-constraint store rides along in
-   learner checkpoints as an opaque string (interned ids decoded to symbols
-   so another process can re-encode them). Constraints are monotone facts
-   of (seed, example, prefix): importing them restores pruning power but
-   cannot change a verdict, so resumed runs stay bit-identical. *)
-
-let export_constraints t =
-  match t.prune with
-  | Some ps -> Marshal.to_string (Prune.export ps (Eval_plan.symtab t.plans)) []
-  | None -> ""
-
-let import_constraints t s =
-  if String.length s > 0 then
-    match t.prune with
-    | Some ps -> (
-        match (Marshal.from_string s 0 : Prune.exported) with
-        | exported -> Prune.import ps (Eval_plan.symtab t.plans) exported
-        (* A checkpoint from a binary with a different payload layout: the
-           version gate should have caught it, but constraints are a pure
-           accelerant, so the safe degradation is to start cold. *)
-        | exception _ -> ())
-    | None -> ()

@@ -114,15 +114,6 @@ val probe_pruned :
     with {!Explain.Not_covered}. *)
 val blocking_key : t -> Logic.Clause.t -> int -> int array
 
-(** [export_constraints t] — the failure-constraint store as an opaque
-    checkpoint payload ([""] when pruning is off). *)
-val export_constraints : t -> string
-
-(** [import_constraints t s] restores an {!export_constraints} payload
-    (no-op on [""], pruning off, or an undecodable payload — constraints
-    are an accelerant, so the safe degradation is to start cold). *)
-val import_constraints : t -> string -> unit
-
 val covers : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool
 
 (** [covers_src t clause example] — {!covers} plus whether the verdict was

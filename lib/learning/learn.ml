@@ -63,16 +63,11 @@ type config = {
           are deduplicated in list order on the caller), so the pool only
           changes wall-clock time. *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
-      (** sink invoked at clause boundaries (every [checkpoint_every]-th
-          covering iteration) with a complete snapshot of learner progress.
+      (** sink invoked at every clause boundary with a complete snapshot of
+          learner progress, its fingerprint left for the writer to stamp.
           The sink must not perturb learner state — [learn] hands it copies.
           A raising sink is absorbed as [`Skipped]; outcomes are tallied as
           [Budget.Checkpoint_written] / [Checkpoint_skipped]. *)
-  checkpoint_every : int;  (** boundary stride for the sink; min 1 *)
-  fingerprint : string;
-      (** configuration fingerprint stamped into checkpoints so a resume
-          against a different dataset/config is rejected; [""] disables the
-          check *)
   resume : Resilience.Checkpoint.t option;
       (** continue a prior run from its snapshot: the learner restores the
           accepted clauses, the surviving uncovered positives (as indices
@@ -98,8 +93,6 @@ let default_config =
     timeout = Some 600.;
     pool = None;
     checkpoint = None;
-    checkpoint_every = 1;
-    fingerprint = "";
     resume = None;
   }
 
@@ -107,7 +100,6 @@ type stats = {
   clauses : int;
   candidates_evaluated : int;
   seeds_skipped : int;
-  elapsed : float;
 }
 
 type result = {
@@ -616,7 +608,6 @@ let meets_criterion ~config ~pos_covered ~neg_covered =
     returns the learned Horn definition with run statistics and the
     degradation record saying why the run ended. *)
 let learn ?(config = default_config) cov ~rng ~positives ~negatives =
-  let t0 = Budget.now () in
   (* Always scope a per-call child: [config.timeout] bounds this call even
      when the context's budget is shared across many (e.g. CV folds), while
      cancellation and counters stay aggregated on the shared cells. *)
@@ -643,7 +634,6 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
   let uncovered = ref positives in
   let consecutive_skips = ref 0 in
   let boundary = ref 0 in
-  let base_elapsed = ref 0. in
   (match config.resume with
   | None -> ()
   | Some ck ->
@@ -657,21 +647,16 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
       Atomic.set candidates_evaluated
         ck.Resilience.Checkpoint.candidates_evaluated;
       boundary := ck.Resilience.Checkpoint.boundary;
-      base_elapsed := ck.Resilience.Checkpoint.elapsed_s;
       (* Credit the prior run's degradation counters so the resumed run's
          report covers the whole logical run, not just the tail. *)
-      Budget.add_assoc budget ck.Resilience.Checkpoint.counters;
-      (* Re-arm the failure-constraint store: the snapshot's constraints
-         are facts of (seed, example, prefix), so importing them only
-         restores pruning power — verdicts cannot change. *)
-      Coverage.import_constraints cov ck.Resilience.Checkpoint.constraints);
+      Budget.add_assoc budget ck.Resilience.Checkpoint.counters);
   let emit_checkpoint () =
     match config.checkpoint with
-    | Some sink when !boundary mod max 1 config.checkpoint_every = 0 ->
+    | Some sink ->
         let ck =
           {
             Resilience.Checkpoint.version = Resilience.Checkpoint.version;
-            fingerprint = config.fingerprint;
+            fingerprint = "";
             boundary = !boundary;
             definition = List.rev !definition;
             uncovered = indices_of ~positives !uncovered;
@@ -680,8 +665,6 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
             candidates_evaluated = Atomic.get candidates_evaluated;
             rng = Random.State.copy rng;
             counters = Budget.counters_to_assoc (Budget.counters budget);
-            elapsed_s = !base_elapsed +. (Budget.now () -. t0);
-            constraints = Coverage.export_constraints cov;
           }
         in
         let outcome = try sink ck with _ -> `Skipped in
@@ -698,7 +681,7 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
           (match outcome with
           | `Written -> Budget.Checkpoint_written
           | `Skipped -> Budget.Checkpoint_skipped)
-    | _ -> ()
+    | None -> ()
   in
   (* Why the covering loop exited. Captured at the decision point rather
      than re-derived afterwards: a deadline elapsing a microsecond after
@@ -819,7 +802,6 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
         clauses = List.length !definition;
         candidates_evaluated = Atomic.get candidates_evaluated;
         seeds_skipped = !seeds_skipped;
-        elapsed = !base_elapsed +. (Budget.now () -. t0);
       };
     degradation;
   }

@@ -41,21 +41,16 @@ type config = {
           list order on the caller — so the pool only changes wall-clock
           time. *)
   checkpoint : (Resilience.Checkpoint.t -> [ `Written | `Skipped ]) option;
-      (** sink invoked at clause boundaries (every [checkpoint_every]-th
-          covering iteration) with a complete snapshot of learner progress
-          — typically [Resilience.Checkpoint.save] partially applied to a
-          path. The snapshot hands the sink copies, so writing cannot
+      (** sink invoked at every clause boundary with a complete snapshot of
+          learner progress — typically [Resilience.Checkpoint.save]
+          partially applied to a path. The snapshot's [fingerprint] is
+          [""]: the learner does not know the run setup, so a writer that
+          wants {!Resilience.Checkpoint.validate} to gate resumes stamps
+          its own. The snapshot hands the sink copies, so writing cannot
           perturb the run; a raising sink counts as [`Skipped]. Outcomes
           are tallied as [Budget.Checkpoint_written] /
           [Budget.Checkpoint_skipped]. [None] (the default) disables
           checkpointing. *)
-  checkpoint_every : int;
-      (** invoke the sink every [n]-th clause boundary (clamped to ≥ 1;
-          default 1 — every boundary) *)
-  fingerprint : string;
-      (** configuration fingerprint stamped into emitted checkpoints (see
-          {!Resilience.Checkpoint.validate}); [""] (the default) stamps
-          nothing *)
   resume : Resilience.Checkpoint.t option;
       (** continue a prior run from its snapshot. [positives] and
           [negatives] must be the same lists in the same order as the
@@ -73,7 +68,6 @@ type stats = {
   clauses : int;
   candidates_evaluated : int;
   seeds_skipped : int;  (** positives whose best clause failed the criterion *)
-  elapsed : float;  (** seconds, on the {!Budget.now} clock *)
 }
 
 type result = {

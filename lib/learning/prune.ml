@@ -25,8 +25,8 @@
     example hash like the coverage memo so pool workers probing different
     examples do not contend. Contents are monotone facts (a signature once
     true stays true for the context's fixed seed and cap), so sharing the
-    store across sequential-covering iterations, CV folds and resumed runs
-    is safe — it can only save work, never change an answer. *)
+    store across sequential-covering iterations and CV folds is safe — it
+    can only save work, never change an answer. *)
 
 module Int_tbl = Hashtbl.Make (struct
   type t = int
@@ -212,86 +212,3 @@ let learn (t : t) ~example ~key ~blocked =
     if added then Obs.Metrics.bump m_constraints;
     added
   end
-
-(** {1 Persistence}
-
-    Interned ids are process-local, so checkpointed signatures are decoded
-    back to symbols/values against the {!Logic.Compiled.Symtab} that minted
-    them and re-encoded against the resuming context's table. Constraints
-    are facts about (seed, example, prefix), so importing them into a run
-    with the same fingerprint only restores pruning power — it cannot
-    change a verdict. *)
-
-type sig_elem =
-  | E_pred of string
-  | E_int of int  (** an arity, or an original variable id encoded < 0 *)
-  | E_const of Relational.Value.t
-
-type exported =
-  (Relational.Relation.tuple * (sig_elem array * int) list) list
-
-let decode_signature symtab elems =
-  let n = Array.length elems in
-  let out = Array.make n (E_int 0) in
-  let p = ref 0 in
-  while !p < n do
-    out.(!p) <- E_pred (Logic.Compiled.Symtab.pred_name symtab elems.(!p));
-    let arity = elems.(!p + 1) in
-    out.(!p + 1) <- E_int arity;
-    for i = !p + 2 to !p + 1 + arity do
-      let a = elems.(i) in
-      out.(i) <-
-        (if a >= 0 then E_const (Logic.Compiled.Symtab.value symtab a)
-         else E_int a)
-    done;
-    p := !p + 2 + arity
-  done;
-  out
-
-let encode_signature symtab elems =
-  Array.map
-    (function
-      | E_pred p -> Logic.Compiled.Symtab.pred_id symtab p
-      | E_int n -> n
-      | E_const v -> Logic.Compiled.Symtab.const_id symtab v)
-    elems
-
-(** [export t symtab] — every stored constraint, decoded symtab-independent
-    (checkpoint payload). *)
-let export (t : t) symtab =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let out =
-        Hashtbl.fold
-          (fun example root acc ->
-            (* DFS collecting root-to-terminal element paths. *)
-            let sigs = ref [] in
-            let rec dfs node path =
-              if node.blocked >= 0 then
-                sigs :=
-                  ( decode_signature symtab
-                      (Array.of_list (List.rev path)),
-                    node.blocked )
-                  :: !sigs;
-              Int_tbl.iter (fun e child -> dfs child (e :: path)) node.children
-            in
-            dfs root [];
-            if !sigs = [] then acc else (example, !sigs) :: acc)
-          s.roots acc
-      in
-      Mutex.unlock s.lock;
-      out)
-    [] t.stripes
-
-(** [import t symtab exported] re-encodes and stores checkpointed
-    constraints (idempotent; respects the stripe caps). *)
-let import t symtab exported =
-  List.iter
-    (fun (example, sigs) ->
-      List.iter
-        (fun (elems, blocked) ->
-          let key = encode_signature symtab elems in
-          ignore (learn t ~example ~key ~blocked))
-        sigs)
-    exported

@@ -13,9 +13,9 @@
 
     The store is lock-striped by example hash and safe to share across pool
     workers, sequential-covering iterations and CV folds. Constraints are
-    monotone facts for a fixed (seed, frontier-cap) context; {!export} /
-    {!import} move them through checkpoints so a resumed run keeps its
-    pruning power. *)
+    monotone facts for a fixed (seed, frontier-cap) context, learned from
+    the search's own failures: checkpoints do not carry them, and a resumed
+    run re-derives them as it searches. *)
 
 type t
 
@@ -38,16 +38,3 @@ val probe :
     subsumed by a shorter signature, or capacity-capped). *)
 val learn :
   t -> example:Relational.Relation.tuple -> key:int array -> blocked:int -> bool
-
-(** Symtab-independent snapshot of the store: interned ids decoded back to
-    predicate names and values, so a different process can re-encode them.
-    Plain marshalable data — the checkpoint payload. *)
-type exported
-
-(** [export t symtab] decodes every stored constraint against the symbol
-    table that minted its ids. *)
-val export : t -> Logic.Compiled.Symtab.t -> exported
-
-(** [import t symtab exported] re-encodes [exported] against [symtab] and
-    stores the constraints (idempotent; respects capacity caps). *)
-val import : t -> Logic.Compiled.Symtab.t -> exported -> unit

@@ -56,7 +56,6 @@ module Symtab = struct
     consts : int Value.Table.t;
     mutable values : Value.t array;  (** id → value (reverse array) *)
     mutable n_values : int;
-    mutable pred_names : string array;  (** id → name (reverse array) *)
   }
 
   let create () =
@@ -66,7 +65,6 @@ module Symtab = struct
       consts = Value.Table.create 1024;
       values = Array.make 1024 (Value.Int 0);
       n_values = 0;
-      pred_names = Array.make 64 "";
     }
 
   let pred_id t p =
@@ -76,12 +74,6 @@ module Symtab = struct
       | Some id -> id
       | None ->
           let id = Hashtbl.length t.preds in
-          if id >= Array.length t.pred_names then begin
-            let bigger = Array.make (2 * Array.length t.pred_names) "" in
-            Array.blit t.pred_names 0 bigger 0 id;
-            t.pred_names <- bigger
-          end;
-          t.pred_names.(id) <- p;
           Hashtbl.add t.preds p id;
           id
     in
@@ -114,8 +106,6 @@ module Symtab = struct
      release/acquire pair orders the interning writes — including the array
      growth — before this read, and growth only ever appends. *)
   let values t = t.values
-  let value t id = t.values.(id)
-  let pred_name t id = t.pred_names.(id)
 end
 
 (** {1 Compiled ground clauses} *)

@@ -16,21 +16,15 @@
     interning order (and hence not on pool scheduling). *)
 
 (** A process- or context-wide interner for predicate symbols and constant
-    values. Thread-safe: interning takes an internal mutex; readers access
-    the reverse array lock-free (safe for ids published to them through any
-    mutex, e.g. a plan or ground cache). *)
+    values. Thread-safe: interning takes an internal mutex; the kernel reads
+    the constants' reverse array lock-free (safe for ids published to it
+    through any mutex, e.g. a plan or ground cache). *)
 module Symtab : sig
   type t
 
   val create : unit -> t
   val pred_id : t -> string -> int
   val const_id : t -> Relational.Value.t -> int
-
-  (** [value t id] — the constant interned as [id]. *)
-  val value : t -> int -> Relational.Value.t
-
-  (** [pred_name t id] — the predicate symbol interned as [id]. *)
-  val pred_name : t -> int -> string
 end
 
 type ground

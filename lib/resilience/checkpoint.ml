@@ -30,15 +30,11 @@ type t = {
   candidates_evaluated : int;
   rng : Random.State.t;
   counters : (string * int) list;
-  elapsed_s : float;
-  constraints : string;
-      (** opaque failure-constraint store payload (producer-defined;
-          [""] = none) — resumed runs keep their pruning power *)
 }
 
-(* v2: the embedded failure-constraint store ([constraints]). Older
-   snapshots are refused by the version gate below, never reinterpreted. *)
-let version = 2
+(* Any other version is refused by the gate in [of_json], never
+   reinterpreted. *)
+let version = 3
 
 let fingerprint_of_strings parts =
   Digest.to_hex (Digest.string (String.concat "\x00" parts))
@@ -104,9 +100,6 @@ let to_json t =
       ("rng", Json.Str (marshal_hex t.rng));
       ( "counters",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.counters) );
-      ("elapsed_s", Json.Float t.elapsed_s);
-      (* opaque bytes; hex keeps the file valid JSON *)
-      ("constraints", Json.Str (hex_encode t.constraints));
     ]
 
 let field name j =
@@ -171,20 +164,11 @@ let of_json j =
       | Ok _ -> Error "checkpoint: field \"counters\" is not an object"
       | Error _ as e -> e
     in
-    let* elapsed_s =
-      match field "elapsed_s" j with
-      | Ok (Json.Float f) -> Ok f
-      | Ok (Json.Int i) -> Ok (float_of_int i)
-      | Ok _ -> Error "checkpoint: field \"elapsed_s\" is not a number"
-      | Error _ as e -> e
-    in
-    let* constraints_hex = str_field "constraints" j in
     match
       ( (unmarshal_hex def_bin : Logic.Clause.definition),
-        (unmarshal_hex rng_hex : Random.State.t),
-        hex_decode constraints_hex )
+        (unmarshal_hex rng_hex : Random.State.t) )
     with
-    | definition, rng, constraints ->
+    | definition, rng ->
         Ok
           {
             version = v;
@@ -197,8 +181,6 @@ let of_json j =
             candidates_evaluated;
             rng;
             counters;
-            elapsed_s;
-            constraints;
           }
     | exception e ->
         Error ("checkpoint: corrupt marshal payload: " ^ Printexc.to_string e)

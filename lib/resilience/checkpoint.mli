@@ -6,10 +6,13 @@
     {e bit-identically} to an uninterrupted run at the same seed: the
     clauses learned so far, the indices of the original positives still
     uncovered, the skip/progress counters, the degradation counters, and —
-    crucially — the learner's [Random.State.t] at the boundary. The
-    container is {!Obs.Json}; the RNG and the clause structures travel as
-    hex-encoded [Marshal] blobs inside it (printed clauses only round-trip
-    up to alpha-equivalence; bit-identical resumption needs the exact term
+    crucially — the learner's [Random.State.t] at the boundary. Caches are
+    not state: the resumed run rebuilds the coverage memo, plans, ground
+    bottom clauses and failure constraints, none of which can change a
+    verdict, so a snapshot stays about a kilobyte. The container is
+    {!Obs.Json}; the RNG and the clause structures travel as hex-encoded
+    [Marshal] blobs inside it (printed clauses only round-trip up to
+    alpha-equivalence; bit-identical resumption needs the exact term
     structure), with a printed-clause list alongside for humans and CI
     smoke checks. {!load} refuses files whose [version] differs before
     touching any Marshal payload, and {!validate} refuses checkpoints whose
@@ -19,7 +22,8 @@ type t = {
   version : int;  (** snapshot format version; see {!val-version} *)
   fingerprint : string;
       (** digest of the run configuration (dataset, method, strategy,
-          scale, seed, learner knobs) that wrote the snapshot *)
+          scale, seed, learner knobs) that wrote the snapshot; stamped by
+          the writer, [""] when it stamps none *)
   boundary : int;  (** covering-loop iterations completed *)
   definition : Logic.Clause.definition;  (** accepted clauses, oldest first *)
   uncovered : int list;
@@ -34,17 +38,11 @@ type t = {
           seed several resumes *)
   counters : (string * int) list;
       (** {!Budget.counters_to_assoc} snapshot at the boundary *)
-  elapsed_s : float;  (** wall-clock spent up to the boundary *)
-  constraints : string;
-      (** opaque failure-constraint store payload ([""] = none). The
-          producer ({!Learning.Coverage}) defines the encoding; resilience
-          just carries the bytes (hex-encoded in the JSON), so the
-          dependency arrow stays learning → resilience *)
 }
 
-(** The snapshot format version this binary reads and writes. v2 added the
-    embedded failure-constraint store; older snapshots are refused by
-    {!of_json}/{!load} with a version-mismatch error. *)
+(** The snapshot format version this binary reads and writes. v3 dropped
+    v2's failure-constraint store and clock; any other version is refused
+    by {!of_json}/{!load} with a version-mismatch error. *)
 val version : int
 
 (** [fingerprint_of_strings parts] is a stable hex digest of [parts] — the

@@ -269,10 +269,7 @@ and run_attempt t ?(delay = 0.) job =
         | Some d when not (Budget.equal_status d.Budget.status Budget.Completed)
           ->
             Protocol.Degraded (payload, d)
-        | _ ->
-            if Budget.expired job.budget then
-              Protocol.Degraded (payload, Budget.degradation job.budget)
-            else Protocol.Completed payload)
+        | _ -> Protocol.Completed payload)
     with
     | Handler.Bad_request msg -> `Done (Protocol.Failed msg)
     | e -> `Retry (e, Printexc.get_raw_backtrace ())

@@ -3,7 +3,9 @@
 
     Every admitted job terminates in exactly one {!Protocol.outcome}:
 
-    - [Completed] — the handler returned with no degradation;
+    - [Completed] — the handler returned no degradation, or one whose
+      status is [Completed], even if the job's deadline passed meanwhile
+      (the handler's own degradation is the only judge);
     - [Degraded] — the job's per-request deadline expired (or drain
       cancelled it) and the anytime learner answered best-so-far, with the
       {!Budget.degradation} counters attached;

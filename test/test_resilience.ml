@@ -28,9 +28,35 @@ let sample_checkpoint () =
     candidates_evaluated = 9;
     rng = Random.State.make [| 42 |];
     counters = [ ("worker_faults", 3); ("jobs_skipped", 1) ];
-    elapsed_s = 0.25;
-    constraints = "opaque\x00bytes";
   }
+
+(* offset of the first [needle] in [haystack] *)
+let find haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i =
+    if i + nl > hl then None
+    else if String.sub haystack i nl = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains haystack needle = Option.is_some (find haystack needle)
+
+(* every byte value, in order *)
+let all_bytes = String.init 256 Char.chr
+
+(* a snapshot whose one clause holds [all_bytes] as a constant: Marshal
+   copies string bytes verbatim, so all 256 pass through the hex codec *)
+let all_bytes_checkpoint () =
+  let clause =
+    Logic.Clause.make
+      (Logic.Literal.make "t" [| Logic.Term.Var 0 |])
+      [
+        Logic.Literal.make "r"
+          [| Logic.Term.Var 0; Logic.Term.Const (Relational.Value.str all_bytes) |];
+      ]
+  in
+  { (sample_checkpoint ()) with Checkpoint.definition = [ clause ] }
 
 let rng_stream st =
   let st = Random.State.copy st in
@@ -73,14 +99,9 @@ let checkpoint_tests =
                   got.Checkpoint.candidates_evaluated;
                 Alcotest.(check (list (pair string int))) "counters"
                   ck.Checkpoint.counters got.Checkpoint.counters;
-                Alcotest.(check (float 1e-9)) "elapsed"
-                  ck.Checkpoint.elapsed_s got.Checkpoint.elapsed_s;
                 Alcotest.(check string) "definition"
                   (render ck.Checkpoint.definition)
                   (render got.Checkpoint.definition);
-                (* opaque bytes (including the NUL) must survive the hex trip *)
-                Alcotest.(check string) "constraints"
-                  ck.Checkpoint.constraints got.Checkpoint.constraints;
                 (* the restored RNG must replay the exact stream *)
                 Alcotest.(check (list int)) "rng stream"
                   (rng_stream ck.Checkpoint.rng)
@@ -112,54 +133,48 @@ let checkpoint_tests =
                 Alcotest.(check bool)
                   (Printf.sprintf "error names the version (%s)" e)
                   true
-                  (let lower = String.lowercase_ascii e in
-                   let has needle =
-                     let nl = String.length needle
-                     and ll = String.length lower in
-                     let rec go i =
-                       i + nl <= ll
-                       && (String.sub lower i nl = needle || go (i + 1))
-                     in
-                     go 0
-                   in
-                   has "version")));
+                  (contains (String.lowercase_ascii e) "version")));
     Alcotest.test_case
-      "v1 snapshot (pre constraint store) is refused, naming both versions"
+      "v1 snapshot (pre constraint store) is refused, and so is v2 (with \
+       it), naming both versions"
       `Quick (fun () ->
-        with_temp_file (fun path ->
-            (* simulate a v1 file: old version stamp and no "constraints"
-               field, exactly what a pre-v2 binary wrote *)
-            let v1 =
-              match Checkpoint.to_json (sample_checkpoint ()) with
-              | Json.Obj fields ->
-                  Json.Obj
-                    (List.filter_map
-                       (function
-                         | "version", Json.Int _ ->
-                             Some ("version", Json.Int 1)
-                         | "constraints", _ -> None
-                         | kv -> Some kv)
-                       fields)
-              | _ -> Alcotest.fail "checkpoint JSON is not an object"
-            in
-            Json.write path v1;
-            match Checkpoint.load path with
-            | Ok _ -> Alcotest.fail "v1 snapshot was accepted"
-            | Error e ->
-                let contains needle =
-                  let nl = String.length needle and ll = String.length e in
-                  let rec go i =
-                    i + nl <= ll && (String.sub e i nl = needle || go (i + 1))
-                  in
-                  go 0
-                in
-                Alcotest.(check bool)
-                  (Printf.sprintf "error names the file's version (%s)" e)
-                  true (contains "v1");
-                Alcotest.(check bool)
-                  "error names the version this binary reads" true
-                  (contains
-                     (Printf.sprintf "v%d" Checkpoint.version))));
+        let restamp v extra =
+          match Checkpoint.to_json (sample_checkpoint ()) with
+          | Json.Obj fields ->
+              Json.Obj
+                (List.map
+                   (function
+                     | "version", Json.Int _ -> ("version", Json.Int v)
+                     | kv -> kv)
+                   fields
+                @ extra)
+          | _ -> Alcotest.fail "checkpoint JSON is not an object"
+        in
+        List.iter
+          (fun (v, snapshot) ->
+            with_temp_file (fun path ->
+                Json.write path snapshot;
+                match Checkpoint.load path with
+                | Ok _ -> Alcotest.failf "v%d snapshot was accepted" v
+                | Error e ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "error names the file's version (%s)" e)
+                      true
+                      (contains e (Printf.sprintf "v%d" v));
+                    Alcotest.(check bool)
+                      "error names the version this binary reads" true
+                      (contains e (Printf.sprintf "v%d" Checkpoint.version))))
+          [
+            (* what a pre-v2 binary wrote: no constraint store *)
+            (1, restamp 1 []);
+            (* what a v2 binary wrote: the hex-encoded store and a clock *)
+            ( 2,
+              restamp 2
+                [
+                  ("elapsed_s", Json.Float 0.25);
+                  ("constraints", Json.Str "6f70617175650062797465");
+                ] );
+          ]);
     Alcotest.test_case "load reports unreadable and torn files as Error"
       `Quick (fun () ->
         (match Checkpoint.load "/nonexistent/autobias.ck" with
@@ -174,44 +189,103 @@ let checkpoint_tests =
             | Error _ -> ()));
     Alcotest.test_case "hex payloads round-trip all 256 byte values" `Quick
       (fun () ->
-        let bytes = String.init 256 Char.chr in
-        let ck = { (sample_checkpoint ()) with Checkpoint.constraints = bytes } in
+        let ck = all_bytes_checkpoint () in
+        let definition_bin = Marshal.to_string ck.Checkpoint.definition [] in
+        Alcotest.(check bool) "payload holds every byte value" true
+          (contains definition_bin all_bytes);
         let j = Checkpoint.to_json ck in
         (* the text older binaries wrote: two lower-case digits a byte *)
-        let reference =
+        let reference s =
           String.concat ""
-            (List.init 256 (fun b -> Printf.sprintf "%02x" b))
+            (List.init (String.length s) (fun i ->
+                 Printf.sprintf "%02x" (Char.code s.[i])))
         in
-        Alcotest.(check (option string)) "lower-case hex text"
-          (Some reference)
-          (match Json.member "constraints" j with
-          | Some (Json.Str s) -> Some s
-          | _ -> None);
+        List.iter
+          (fun (field, payload) ->
+            Alcotest.(check (option string)) (field ^ ": lower-case hex text")
+              (Some (reference payload))
+              (match Json.member field j with
+              | Some (Json.Str s) -> Some s
+              | _ -> None))
+          [
+            ("definition_bin", definition_bin);
+            ("rng", Marshal.to_string ck.Checkpoint.rng []);
+          ];
         match Checkpoint.of_json j with
         | Error e -> Alcotest.failf "round trip failed: %s" e
-        | Ok got ->
-            Alcotest.(check string) "bytes" bytes got.Checkpoint.constraints);
+        | Ok got -> (
+            Alcotest.(check (list int)) "rng stream"
+              (rng_stream ck.Checkpoint.rng)
+              (rng_stream got.Checkpoint.rng);
+            match got.Checkpoint.definition with
+            | [ c ] -> (
+                match
+                  List.concat_map Logic.Literal.constants (Logic.Clause.body c)
+                with
+                | [ Relational.Value.Str s ] ->
+                    Alcotest.(check string) "bytes" all_bytes s
+                | _ -> Alcotest.fail "the constant did not survive")
+            | _ -> Alcotest.fail "the clause did not survive"));
     Alcotest.test_case "a non-hex digit loads as Error, never an exception"
       `Quick (fun () ->
+        (* Each bad digit pair overwrites one byte of an otherwise valid
+           payload, at a byte where any value still unmarshals: a decoder
+           that let the pair through would load the snapshot. *)
+        let ck = all_bytes_checkpoint () in
+        let j = Checkpoint.to_json ck in
+        let with_field field hex =
+          match j with
+          | Json.Obj fields ->
+              Json.Obj
+                (List.map
+                   (function k, _ when k = field -> (k, Json.Str hex) | kv -> kv)
+                   fields)
+          | _ -> Alcotest.fail "checkpoint JSON is not an object"
+        in
+        let hex_of field =
+          match Json.member field j with
+          | Some (Json.Str s) -> s
+          | _ -> Alcotest.failf "%s is not a string" field
+        in
+        (* a byte in the middle of the all-bytes constant; the last byte
+           of the RNG blob, which is state data *)
+        let constant_byte =
+          match
+            find (Marshal.to_string ck.Checkpoint.definition []) all_bytes
+          with
+          | Some i -> i + 128
+          | None -> Alcotest.fail "the constant is not in the payload"
+        in
+        let rng_byte = (String.length (hex_of "rng") / 2) - 1 in
         List.iter
-          (fun bad ->
-            with_temp_file (fun path ->
-                let tampered =
-                  match Checkpoint.to_json (sample_checkpoint ()) with
-                  | Json.Obj fields ->
-                      Json.Obj
-                        (List.map
-                           (function
-                             | "constraints", _ -> ("constraints", Json.Str bad)
-                             | kv -> kv)
-                           fields)
-                  | _ -> Alcotest.fail "checkpoint JSON is not an object"
-                in
-                Json.write path tampered;
-                match Checkpoint.load path with
-                | Ok _ -> Alcotest.failf "loaded constraints %S" bad
-                | Error _ -> ()))
-          [ "zz"; "0g"; "g0"; "_1"; "+1"; " 1"; "abc" ]);
+          (fun (field, byte) ->
+            let hex = hex_of field in
+            let set_byte digits =
+              String.sub hex 0 (2 * byte)
+              ^ digits
+              ^ String.sub hex ((2 * byte) + 2)
+                  (String.length hex - (2 * byte) - 2)
+            in
+            (* every valid pair at that byte loads, so only the decoder's
+               strictness can refuse the bad ones below *)
+            for b = 0 to 255 do
+              let valid = set_byte (Printf.sprintf "%02x" b) in
+              match Checkpoint.of_json (with_field field valid) with
+              | Ok _ -> ()
+              | Error e ->
+                  Alcotest.failf "%s with byte %d = %02x refused: %s" field
+                    byte b e
+            done;
+            List.iter
+              (fun bad ->
+                with_temp_file (fun path ->
+                    Json.write path (with_field field bad);
+                    match Checkpoint.load path with
+                    | Ok _ -> Alcotest.failf "loaded %s %S" field bad
+                    | Error _ -> ()))
+              ((hex ^ "0")
+              :: List.map set_byte [ "zz"; "0g"; "g0"; "_1"; "1_"; "+1"; " 1" ]))
+          [ ("definition_bin", constant_byte); ("rng", rng_byte) ]);
     Alcotest.test_case "validate gates on the config fingerprint" `Quick
       (fun () ->
         let ck = sample_checkpoint () in
@@ -253,6 +327,27 @@ let checkpoint_tests =
             | `Skipped ->
                 Alcotest.(check bool) "target untouched" false
                   (Sys.file_exists path)));
+    Alcotest.test_case "a snapshot of another scale is refused" `Quick
+      (fun () ->
+        let fingerprint scale =
+          Autobias.fingerprint ~dataset:"uw" ~scale
+            ~method_:Autobias.Auto_bias Autobias.default_config ~seed:11
+        in
+        let half = fingerprint 0.5 and third = fingerprint 0.3 in
+        Alcotest.(check bool) "scale-sensitive" true (half <> third);
+        let ck =
+          { (sample_checkpoint ()) with Checkpoint.fingerprint = half }
+        in
+        (match Checkpoint.validate ~fingerprint:half ck with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "same scale refused: %s" e);
+        match Checkpoint.validate ~fingerprint:third ck with
+        | Ok () -> Alcotest.fail "a --scale 0.5 snapshot resumed at 0.3"
+        | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "names the mismatch (%s)" e)
+              true
+              (contains e "fingerprint mismatch"));
   ]
 
 (* ---------------- supervision policy ---------------- *)
@@ -382,7 +477,6 @@ let run_uw ?pool ?checkpoint ?resume ~seed () =
       clause_timeout = None;
       pool;
       checkpoint;
-      checkpoint_every = 1;
       resume;
     }
   in

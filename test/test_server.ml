@@ -353,6 +353,25 @@ let deadline_tests =
             | Error Protocol.Draining -> ()
             | Error _ -> Alcotest.fail "wrong rejection while draining"
             | Ok _ -> Alcotest.fail "admitted a job while draining"));
+    Alcotest.test_case
+      "a complete answer after the deadline reads completed" `Quick
+      (fun () ->
+        (* like a bias request: the handler never reads the budget, so it
+           reports no degradation however late it answers *)
+        let late ~budget req =
+          ignore (spin_until_expired ~budget req);
+          (null_payload, None)
+        in
+        let daemon = Daemon.create late in
+        match
+          Daemon.submit_and_wait daemon (learn_uw ~deadline:(Some 0.02) ())
+        with
+        | Ok { Protocol.outcome = Protocol.Completed _; _ } -> ()
+        | Ok r ->
+            Alcotest.fail
+              ("expected completed, got " ^ Protocol.status_of_outcome
+                                              r.Protocol.outcome)
+        | Error _ -> Alcotest.fail "rejected");
   ]
 
 (* ---------------- chaos soak ---------------- *)

@@ -112,7 +112,8 @@ let kill_after_arg =
   let doc =
     "Stop the run (cooperative cancellation) after $(docv) checkpoints \
      have been written (testing: simulates a crash at a clause boundary \
-     for resume smoke tests). Requires --checkpoint."
+     for resume smoke tests). Requires --checkpoint; $(docv) must be at \
+     least 1."
   in
   Arg.(value & opt (some int) None & info [ "kill-after-clause" ] ~docv:"K" ~doc)
 
@@ -351,6 +352,33 @@ let learn_cmd =
   let run dataset_name method_name strategy scale seed timeout deadline domains
       chaos chaos_layers chaos_kill checkpoint resume
       kill_after cv show_bias output trace events funnel metrics =
+    (* Flags the chosen mode would ignore are refused, not dropped: the
+       cross-validation branch writes no snapshot and no definition. *)
+    let refused =
+      (if cv then
+         List.filter_map
+           (fun (flag, given) ->
+             if given then Some ("--cv cannot be combined with " ^ flag)
+             else None)
+           [
+             ("--checkpoint", checkpoint <> None);
+             ("--resume", resume <> None);
+             ("--kill-after-clause", kill_after <> None);
+             ("-o/--output", output <> None);
+           ]
+       else [])
+      @ (if kill_after <> None && checkpoint = None then
+           [ "--kill-after-clause requires --checkpoint" ]
+         else [])
+      @
+      match kill_after with
+      | Some k when k < 1 -> [ "--kill-after-clause must be at least 1" ]
+      | _ -> []
+    in
+    if refused <> [] then begin
+      List.iter (Fmt.epr "autobias learn: %s@.") refused;
+      exit 2
+    end;
     let dataset = dataset_of_name ~scale ~seed dataset_name in
     let method_ = Autobias.method_of_string method_name in
     let report_config =
@@ -495,7 +523,10 @@ let learn_cmd =
     end
   in
   let cv_arg =
-    let doc = "Run the dataset's cross-validation protocol." in
+    let doc =
+      "Run the dataset's cross-validation protocol. Cannot be combined \
+       with --checkpoint, --resume, --kill-after-clause or --output."
+    in
     Arg.(value & flag & info [ "cv" ] ~doc)
   in
   let show_bias_arg =

@@ -156,9 +156,18 @@ let foil_gain ~p0 ~n0 ~p1 ~n1 =
   end
 
 let learn_one_clause ~config ~cov ~budget db bias ~uncovered ~negatives =
+  (* The budget is checked per example: the first candidate's count builds
+     every example's ground bottom clause, and a deadline must be able to
+     stop that warm-up. *)
   let count clause =
-    ( Learning.Coverage.count cov clause uncovered,
-      Learning.Coverage.count cov clause negatives )
+    let count_in examples =
+      List.fold_left
+        (fun acc e ->
+          Budget.check budget;
+          if Learning.Coverage.covers cov clause e then acc + 1 else acc)
+        0 examples
+    in
+    (count_in uncovered, count_in negatives)
   in
   let rec grow state p0 n0 =
     Budget.check budget;

@@ -21,13 +21,23 @@
 
     {b The frontier.} Each body literal extends every frontier substitution
     by its matches in the ground (fair expansion: each substitution gets an
-    equal share of a [3 × cap] budget), deduplicates frontiers over 8, and
-    keeps at most [cap] substitutions: a rotation below the cap, so a
-    truncated tail gets its turn at the next literal, else a stride-spread
-    sample that preserves binding diversity (a [Coverage_truncated] budget
-    hit — the point where the test under-approximates). {!eval} stops at the
-    first literal whose frontier dies (the {e blocking atom});
-    {!generalize} drops that literal and carries the previous frontier on.
+    equal share of a [3 × cap] budget). A step of more than 8 extensions is
+    put in ascending order and deduplicated, and at most [cap]
+    substitutions are kept: a rotation below the cap, so a truncated tail
+    gets its turn at the next literal, else a stride-spread sample that
+    preserves binding diversity (a [Coverage_truncated] budget hit — the
+    point where the test under-approximates). {!eval} stops at the first
+    literal whose frontier dies (the {e blocking atom}); {!generalize} drops
+    that literal and carries the previous frontier on.
+
+    {b Ordering a step.} An extension repeats its parent's bindings, and the
+    previous frontier's order is known (sorted, sorted and rotated, or at
+    most 8 raw entries, sorted on the spot). So a step is not sorted from
+    scratch: parents agreeing on every variable below the literal's lowest
+    newly bound one form a run, runs keep their parents' order, and only
+    each run's extensions are sorted, from that variable on. A sorted,
+    deduplicated sequence is unique, so this yields exactly the full sort's
+    frontier.
 
     {b Determinism.} The sweep replicates the symbolic reference engine the
     tests keep as an oracle — same verdicts, same witnesses, same truncation
@@ -320,6 +330,10 @@ type scratch = {
   mutable idx_b : int array;
   mutable ord : int array;  (** logical-order workspace *)
   mutable aux : int array;  (** merge-sort workspace *)
+  mutable first : int array;
+      (** frontier position → its first extension; one past the last
+          parent, the extension count *)
+  mutable par : int array;  (** frontier positions in ascending order *)
 }
 
 let make_scratch () =
@@ -332,6 +346,8 @@ let make_scratch () =
     idx_b = [||];
     ord = [||];
     aux = [||];
+    first = [||];
+    par = [||];
   }
 
 let ensure_scratch s ~nvars ~cap =
@@ -344,6 +360,8 @@ let ensure_scratch s ~nvars ~cap =
     s.idx_b <- Array.make slots 0;
     s.ord <- Array.make slots 0;
     s.aux <- Array.make slots 0;
+    s.first <- Array.make slots 0;
+    s.par <- Array.make slots 0;
     s.s_nvars <- 0 (* buffers are stale; force re-widening below *)
   end;
   if nvars > s.s_nvars then begin
@@ -354,19 +372,34 @@ let ensure_scratch s ~nvars ~cap =
     done
   end
 
-(* Bottom-up merge sort of [ord.(0..n-1)] by [cmp], stable, using [aux];
-   equal elements are identical substitutions here, so stability only
-   matters for matching List.sort_uniq's ascending output, which any
-   correct sort produces. *)
-let sort_ord ord aux n cmp =
-  let width = ref 1 in
-  while !width < n do
-    let lo = ref 0 in
-    while !lo < n - !width do
-      let mid = !lo + !width in
-      let hi = min n (mid + !width) in
-      let i = ref !lo and j = ref mid and k = ref !lo in
-      while !i < mid && !j < hi do
+(* Sorts [ord.(lo..hi-1)] by [cmp] in place, using [aux.(lo..hi-1)]:
+   insertion sort on blocks of 8, then bottom-up merges. A step's runs are
+   mostly 2–3 extensions long, so most calls never merge. Equal elements
+   are identical substitutions here, so stability does not matter. *)
+let sort_range ord aux lo hi cmp =
+  let block = 8 in
+  let b = ref lo in
+  while !b < hi do
+    let e = min hi (!b + block) in
+    for i = !b + 1 to e - 1 do
+      let x = ord.(i) in
+      let k = ref (i - 1) in
+      while !k >= !b && cmp ord.(!k) x > 0 do
+        ord.(!k + 1) <- ord.(!k);
+        decr k
+      done;
+      ord.(!k + 1) <- x
+    done;
+    b := e
+  done;
+  let width = ref block in
+  while !width < hi - lo do
+    let l = ref lo in
+    while !l < hi - !width do
+      let mid = !l + !width in
+      let h = min hi (mid + !width) in
+      let i = ref !l and j = ref mid and k = ref !l in
+      while !i < mid && !j < h do
         if cmp ord.(!i) ord.(!j) <= 0 then begin
           aux.(!k) <- ord.(!i);
           incr i
@@ -382,19 +415,37 @@ let sort_ord ord aux n cmp =
         incr i;
         incr k
       done;
-      while !j < hi do
+      while !j < h do
         aux.(!k) <- ord.(!j);
         incr j;
         incr k
       done;
       (* not [Array.blit]: see the frontier copy in [sweep] *)
-      for i = !lo to hi - 1 do
+      for i = !l to h - 1 do
         ord.(i) <- aux.(i)
       done;
-      lo := !lo + (2 * !width)
+      l := !l + (2 * !width)
     done;
     width := 2 * !width
   done
+
+(* Lexicographic order of two substitutions over variables [from..nvars-1].
+   Both bind the same variables (see the header), so [-1] meets [-1];
+   distinct ids are distinct values (interning is injective), so comparing
+   through the reverse array agrees with [Substitution.compare]. *)
+let compare_from vals (a : int array) (b : int array) from nvars =
+  let r = ref 0 and v = ref from in
+  while !r = 0 && !v < nvars do
+    let x = a.(!v) and y = b.(!v) in
+    if x <> y then r := Value.compare vals.(x) vals.(y);
+    incr v
+  done;
+  !r
+
+(* How a frontier's logical order relates to its ascending order: sorted
+   and stride-sampled, sorted and rotated left by one (the least entry
+   last), or raw extensions (at most 8) in no useful order. *)
+type order = Ascending | Rotated | Raw
 
 let empty_bucket = [||]
 
@@ -438,13 +489,16 @@ let bind_head scratch plan g ~cap =
    swept) and the final frontier's first substitution. *)
 let sweep ~cap ?budget ~kept scratch vals plan g =
   let nvars = plan.p_nvars in
-  (* Frontier state: [cur_bank.(cur_idx.(0..n-1))] in logical order. *)
+  (* Frontier state: [cur_bank.(cur_idx.(0..n-1))] in logical order, which
+     [order] relates to ascending order (the head binding is a singleton). *)
   let cur_bank = ref scratch.bank_a
   and nxt_bank = ref scratch.bank_b
   and cur_idx = ref scratch.idx_a
   and nxt_idx = ref scratch.idx_b in
   !cur_idx.(0) <- 0;
   let n = ref 1 in
+  let order = ref Ascending in
+  let first = scratch.first in
   let blocked = ref 0 in
   let nlits = Array.length plan.p_pred in
   let li = ref 0 in
@@ -457,8 +511,10 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
     (* Expansion: for each frontier substitution, probe the smallest
        bound-position bucket (earliest position wins ties — the reference
        tie rule) and keep the first [per_subst] successful extensions in
-       bucket order. *)
+       bucket order. Each parent's extensions are contiguous from
+       [first.(fi)]. *)
     for fi = 0 to !n - 1 do
+      first.(fi) <- !out_n;
       let s = !cur_bank.(!cur_idx.(fi)) in
       let best = ref empty_bucket and best_len = ref (-1) in
       for pos = 0 to arity - 1 do
@@ -532,6 +588,7 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
         end
       done
     done;
+    first.(!n) <- !out_n;
     if !out_n = 0 then begin
       match kept with
       | None -> blocked := lit + 1
@@ -545,8 +602,8 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
       let out_n = !out_n in
       let ord = scratch.ord in
       (* Logical order of the raw extensions: the reference engine builds
-         its list by prepending, so generation order reversed; frontiers
-         over 8 are sorted ascending and deduplicated instead. *)
+         its list by prepending, so generation order reversed; steps over 8
+         are put in ascending order and deduplicated instead, run by run. *)
       let m =
         if out_n <= 8 then begin
           for i = 0 to out_n - 1 do
@@ -555,30 +612,64 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
           out_n
         end
         else begin
-          for i = 0 to out_n - 1 do
-            ord.(i) <- i
+          (* Sorting by parent runs. Let [j] be the literal's lowest newly
+             bound variable. An extension repeats its parent on every
+             variable below [j], so in ascending order the extensions
+             follow their parents' order on that prefix: the sorted step is
+             the runs of parents agreeing below [j], in ascending parent
+             order, each run's extensions sorted and deduplicated from [j]
+             on. Extensions of different runs differ below [j], so they are
+             never duplicates. With first-appearance variable ids (bottom
+             clauses) each run is one parent; with [j] below every bound
+             variable the one run is the whole step. *)
+          let cur = !cur_bank and ci = !cur_idx and nn = !n in
+          let j = ref nvars in
+          let s0 = cur.(ci.(0)) in
+          for pos = 0 to arity - 1 do
+            let a = args.(pos) in
+            if a < 0 && -a - 1 < !j && s0.(-a - 1) = -1 then j := -a - 1
           done;
+          let j = !j in
+          let par = scratch.par in
+          let shift = if !order = Rotated then nn - 1 else 0 in
+          for r = 0 to nn - 1 do
+            par.(r) <- (r + shift) mod nn
+          done;
+          if !order = Raw then
+            sort_range par scratch.aux 0 nn (fun p q ->
+                compare_from vals cur.(ci.(p)) cur.(ci.(q)) 0 nvars);
           let bank = !nxt_bank in
-          let cmp i j =
-            let a = bank.(i) and b = bank.(j) in
-            let r = ref 0 and v = ref 0 in
-            while !r = 0 && !v < nvars do
-              let x = a.(!v) and y = b.(!v) in
-              (* Distinct ids are distinct values (interning is
-                 injective), so comparing through the reverse array
-                 agrees with [Substitution.compare]. *)
-              if x <> y then r := Value.compare vals.(x) vals.(y);
-              incr v
+          let cmp x y = compare_from vals bank.(x) bank.(y) j nvars in
+          let m = ref 0 and r = ref 0 in
+          while !r < nn do
+            let lead = cur.(ci.(par.(!r))) in
+            let e = ref (!r + 1) and same = ref true in
+            while !same && !e < nn do
+              let s = cur.(ci.(par.(!e))) and v = ref 0 in
+              while !v < j && lead.(!v) = s.(!v) do
+                incr v
+              done;
+              if !v = j then incr e else same := false
             done;
-            !r
-          in
-          sort_ord ord scratch.aux out_n cmp;
-          let m = ref 1 in
-          for i = 1 to out_n - 1 do
-            if cmp ord.(!m - 1) ord.(i) <> 0 then begin
-              ord.(!m) <- ord.(i);
-              incr m
-            end
+            let lo = !m and hi = ref !m in
+            for q = !r to !e - 1 do
+              let p = par.(q) in
+              for x = first.(p) to first.(p + 1) - 1 do
+                ord.(!hi) <- x;
+                incr hi
+              done
+            done;
+            if !hi > lo then begin
+              sort_range ord scratch.aux lo !hi cmp;
+              m := lo + 1;
+              for i = lo + 1 to !hi - 1 do
+                if cmp ord.(!m - 1) ord.(i) <> 0 then begin
+                  ord.(!m) <- ord.(i);
+                  incr m
+                end
+              done
+            end;
+            r := !e
           done;
           !m
         end
@@ -598,6 +689,8 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
         done;
         n := cap
       end;
+      order :=
+        if out_n <= 8 then Raw else if m <= cap then Rotated else Ascending;
       let b = !cur_bank and ix = !cur_idx in
       cur_bank := !nxt_bank;
       cur_idx := !nxt_idx;

@@ -385,15 +385,19 @@ let subsumes ?config ?rng c g =
 
 let default_frontier_cap = Compiled.default_frontier_cap
 
+type observer =
+  Substitution.t list -> Literal.t -> Substitution.t list list -> unit
+
 (** [step_frontier_n ?cap ?truncated g frontier ~frontier_n lit] advances
     the frontier of length [frontier_n] across one body literal: all
     extensions of frontier substitutions that map [lit] into [g],
     deduplicated (duplicates arise when [lit] is already fully bound),
     capped at [cap] (expansion stops at [3 × cap] raw extensions), and
     rotated so a truncated tail gets its turn at the next literal. An empty
-    result means [lit] blocks. Each truncation increments [truncated]. *)
-let step_frontier_n ?(cap = default_frontier_cap) ?truncated g frontier
-    ~frontier_n lit =
+    result means [lit] blocks. Each truncation increments [truncated];
+    [observe] sees the step before it is deduplicated and capped. *)
+let step_frontier_n ?(cap = default_frontier_cap) ?truncated ?observe g
+    frontier ~frontier_n lit =
   (* Fair expansion: every frontier substitution gets an equal share of the
      [3 × cap] expansion budget. A global first-come cut-off would only ever
      extend the first few chains, silently discarding the binding diversity
@@ -401,6 +405,12 @@ let step_frontier_n ?(cap = default_frontier_cap) ?truncated g frontier
      caller-tracked size of [frontier]: every producer of a frontier already
      knows its length, so the hot loop never recounts a list. *)
   let per_subst = max 2 (3 * cap / max 1 frontier_n) in
+  (* Recomputed only for an observer, so the timed path is unchanged. *)
+  Option.iter
+    (fun f ->
+      f frontier lit
+        (List.map (fun s -> Util.take per_subst (candidates g s lit)) frontier))
+    observe;
   let out = ref [] and out_n = ref 0 in
   List.iter
     (fun s ->
@@ -461,14 +471,16 @@ let step_frontier_n ?(cap = default_frontier_cap) ?truncated g frontier
 (** [eval_prefix ?cap ?truncated ~subst c g] evaluates the body of [c]
     against [g] left to right starting from [subst], one [step_frontier_n]
     per body literal, stopping at the first literal whose frontier dies. *)
-let eval_prefix ?cap ?truncated ~subst c g =
+let eval_prefix ?cap ?truncated ?observe ~subst c g =
   let rec go i frontier frontier_n = function
     | [] -> (
         match frontier with
         | s :: _ -> Compiled.Covered s
         | [] -> assert false)
     | lit :: rest -> (
-        match step_frontier_n ?cap ?truncated g frontier ~frontier_n lit with
+        match
+          step_frontier_n ?cap ?truncated ?observe g frontier ~frontier_n lit
+        with
         | [], _ -> Compiled.Blocked i
         | next, n -> go (i + 1) next n rest)
   in
@@ -485,13 +497,15 @@ let covers_ground ?cap ~subst c g =
     dies is dropped and the surviving prefix's frontier carries on, since
     removing a blocking atom leaves that prefix untouched. Returns the
     kept-literal mask over [c]'s body. *)
-let generalize ?cap ~subst c g =
+let generalize ?cap ?observe ~subst c g =
   let body = Array.of_list (Clause.body c) in
   let kept = Array.make (Array.length body) true in
   let frontier = ref [ subst ] and frontier_n = ref 1 in
   Array.iteri
     (fun i lit ->
-      match step_frontier_n ?cap g !frontier ~frontier_n:!frontier_n lit with
+      match
+        step_frontier_n ?cap ?observe g !frontier ~frontier_n:!frontier_n lit
+      with
       | [], _ -> kept.(i) <- false
       | next, next_n ->
           frontier := next;

@@ -57,16 +57,23 @@ val subsumes : ?config:config -> ?rng:Random.State.t -> Clause.t -> ground -> bo
 
 (** {1 Substitution frontiers} *)
 
-(** [eval_prefix ?cap ?truncated ~subst c g] evaluates the body of [c] left
-    to right from [subst]. Each literal extends every frontier substitution
-    by its matches in [g], deduplicated, stride-capped at [cap] (default
-    {!Logic.Compiled.default_frontier_cap}, preserving binding diversity;
-    each cap overflow increments [truncated]) and rotated. [Covered w] with
-    the final frontier's first substitution, or [Blocked i] at the first
-    literal whose frontier dies. *)
+(** A frontier step as an observer sees it: the frontier in logical order,
+    the literal, and each frontier substitution's extensions in generation
+    order, before deduplication and the cap. *)
+type observer =
+  Substitution.t list -> Literal.t -> Substitution.t list list -> unit
+
+(** [eval_prefix ?cap ?truncated ?observe ~subst c g] evaluates the body of
+    [c] left to right from [subst]. Each literal extends every frontier
+    substitution by its matches in [g], deduplicated, stride-capped at [cap]
+    (default {!Logic.Compiled.default_frontier_cap}, preserving binding
+    diversity; each cap overflow increments [truncated]) and rotated.
+    [Covered w] with the final frontier's first substitution, or [Blocked i]
+    at the first literal whose frontier dies. [observe] sees every step. *)
 val eval_prefix :
   ?cap:int ->
   ?truncated:int ref ->
+  ?observe:observer ->
   subst:Substitution.t ->
   Clause.t ->
   ground ->
@@ -76,8 +83,14 @@ val eval_prefix :
 val covers_ground :
   ?cap:int -> subst:Substitution.t -> Clause.t -> ground -> bool
 
-(** [generalize ?cap ~subst c g] — ARMG's sweep from [subst]: each body
-    literal whose frontier dies is dropped and the previous frontier carries
-    on. The kept-literal mask over [c]'s body. *)
+(** [generalize ?cap ?observe ~subst c g] — ARMG's sweep from [subst]: each
+    body literal whose frontier dies is dropped and the previous frontier
+    carries on. The kept-literal mask over [c]'s body. [observe] sees every
+    step. *)
 val generalize :
-  ?cap:int -> subst:Substitution.t -> Clause.t -> ground -> bool array
+  ?cap:int ->
+  ?observe:observer ->
+  subst:Substitution.t ->
+  Clause.t ->
+  ground ->
+  bool array

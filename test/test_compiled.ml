@@ -28,10 +28,10 @@ let grounds tab (d : Datasets.Dataset.t) ~rng example =
   (Compiled.compile_ground tab ~example body, Oracle.ground_of_literals body)
 
 (* The oracle's verdict behind the same head binding coverage uses. *)
-let oracle_eval ?cap ?truncated clause example og =
+let oracle_eval ?cap ?truncated ?observe clause example og =
   match Coverage.head_subst clause example with
   | None -> Compiled.Blocked 0
-  | Some subst -> Oracle.eval_prefix ?cap ?truncated ~subst clause og
+  | Some subst -> Oracle.eval_prefix ?cap ?truncated ?observe ~subst clause og
 
 let kernel_properties =
   [
@@ -225,6 +225,163 @@ let kernel_properties =
              clauses));
   ]
 
+(* ---------------- Steps sorted by parent runs ---------------- *)
+
+(* Wide random clauses: h(X) and 3–8 binary body literals over 6–8
+   variables, introduced literal by literal as in a bottom clause but with
+   ids shuffled against that order, so a literal's lowest new variable
+   often lies below variables the frontier already binds; grounds of 20–60
+   literals over 6–8 values; caps 1–24. A case is (cap, slot → variable
+   id, body, ground, head value); a body argument [a] is slot [a] when
+   [a >= 0], else constant [-a - 1]. *)
+let wide_gen =
+  QCheck.Gen.(
+    let* cap = int_range 1 24 in
+    let* nv = int_range 6 8 in
+    let* ids = shuffle_l (List.init nv Fun.id) in
+    let* nvals = int_range 6 8 in
+    let* nbody = int_range 3 8 in
+    let arg i =
+      frequency
+        [
+          (9, int_bound (min (nv - 1) (i + 1)));
+          (1, map (fun c -> -c - 1) (int_bound (nvals - 1)));
+        ]
+    in
+    let* body =
+      flatten_l
+        (List.init nbody (fun i -> triple (int_bound 2) (arg i) (arg i)))
+    in
+    let* ground =
+      list_size (int_range 20 60)
+        (triple (int_bound 2) (int_bound (nvals - 1)) (int_bound (nvals - 1)))
+    in
+    let* x = int_bound (nvals - 1) in
+    return (cap, Array.of_list ids, body, ground, x))
+
+let wide_case (cap, ids, body, ground, x) =
+  let value i = Logic.Term.Const (Relational.Value.int i) in
+  let term a = if a >= 0 then Logic.Term.Var ids.(a) else value (-a - 1) in
+  let lit t (p, a, b) =
+    Logic.Literal.make (Printf.sprintf "p%d" p) [| t a; t b |]
+  in
+  let clause =
+    Logic.Clause.make
+      (Logic.Literal.make "h" [| Logic.Term.Var ids.(0) |])
+      (List.map (lit term) body)
+  in
+  (cap, clause, List.map (lit value) ground, [| Relational.Value.int x |])
+
+let print_wide case =
+  let cap, clause, ground, _ = wide_case case in
+  Printf.sprintf "cap %d\n%s\nground: %s" cap
+    (Logic.Clause.to_string clause)
+    (String.concat ", " (List.map Logic.Literal.to_string ground))
+
+(* Shapes of the oracle's steps of more than 8 extensions — the steps the
+   kernel orders by parent runs. [j] is the literal's lowest new variable. *)
+let sorted_step_shapes ~cap frontier lit exts =
+  let raw = List.concat exts in
+  if List.length raw <= 8 then []
+  else begin
+    let parent = List.hd frontier in
+    let fresh =
+      List.filter (fun v -> not (Logic.Substitution.mem v parent))
+        (Logic.Literal.vars lit)
+    in
+    let j = List.fold_left min max_int fresh in
+    let below s =
+      List.filter (fun (v, _) -> v < j) (Logic.Substitution.bindings s)
+    in
+    let producing =
+      List.filter_map
+        (fun (s, e) -> if e = [] then None else Some s)
+        (List.combine frontier exts)
+    in
+    let distinct_pair ok l =
+      List.exists
+        (fun p ->
+          List.exists
+            (fun q -> Logic.Substitution.compare p q <> 0 && ok p q)
+            l)
+        l
+    in
+    let has_duplicate l =
+      List.length (List.sort_uniq Logic.Substitution.compare l)
+      < List.length l
+    in
+    List.filter_map
+      (fun (name, holds) -> if holds then Some name else None)
+      [
+        ("sorted step", true);
+        ("several parents", List.length producing >= 2);
+        ( "a multi-parent run",
+          distinct_pair
+            (fun p q ->
+              List.equal
+                (fun (v, a) (w, b) -> v = w && Relational.Value.equal a b)
+                (below p) (below q))
+            producing );
+        ("a literal binding no new variable", fresh = []);
+        ( "j below every bound variable",
+          fresh <> []
+          && List.for_all
+               (fun (v, _) -> v > j)
+               (Logic.Substitution.bindings parent) );
+        ("duplicate parents", has_duplicate frontier);
+        ( "stride truncation",
+          List.length (List.sort_uniq Logic.Substitution.compare raw) > cap );
+      ]
+  end
+
+let wide_clauses () =
+  (* Verdict, witness, truncation count and ARMG mask must equal the
+     oracle's; every shape the run ordering handles must occur. *)
+  let shapes = Hashtbl.create 8 in
+  let count name = Option.value ~default:0 (Hashtbl.find_opt shapes name) in
+  let prop case =
+    let cap, c, ground, example = wide_case case in
+    let observe frontier lit exts =
+      List.iter
+        (fun name -> Hashtbl.replace shapes name (1 + count name))
+        (sorted_step_shapes ~cap frontier lit exts)
+    in
+    let tab = Compiled.Symtab.create () in
+    let cg = Compiled.compile_ground tab ~example ground in
+    let og = Oracle.ground_of_literals ground in
+    let plan = Compiled.compile tab c in
+    let scratch = Compiled.make_scratch () in
+    let b = Budget.create () and truncated = ref 0 in
+    verdict_eq
+      (Compiled.eval ~cap ~budget:b scratch tab plan cg)
+      (oracle_eval ~cap ~truncated ~observe c example og)
+    && truncations b = !truncated
+    && Compiled.generalize ~cap scratch tab plan cg
+       = Option.map
+           (fun subst -> Oracle.generalize ~cap ~observe ~subst c og)
+           (Coverage.head_subst c example)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |])
+    (QCheck.Test.make ~count:600
+       ~name:"compiled kernel equals the oracle on wide random clauses"
+       (QCheck.make ~print:print_wide wide_gen)
+       prop);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d of %d sorted steps" name (count name)
+           (count "sorted step"))
+        true
+        (count name > 0))
+    [
+      "several parents";
+      "a multi-parent run";
+      "a literal binding no new variable";
+      "j below every bound variable";
+      "duplicate parents";
+      "stride truncation";
+    ]
+
 (* ---------------- The kernel against the oracle, timed ---------------- *)
 
 (* A beam step's candidate set on UW (scale 0.3, seed 42): the bottom
@@ -414,6 +571,8 @@ let suite =
   kernel_properties
   @ Alcotest.
       [
+        test_case "compiled kernel equals the oracle on wide random clauses"
+          `Quick wide_clauses;
         test_case "compiled kernel agrees with the oracle, 2x faster at p95"
           `Slow kernel_vs_oracle;
       ]

@@ -528,6 +528,29 @@ let baseline_tests =
           (status_of (foil ~timeout:0. d).Baselines.Foil.degradation);
         Alcotest.(check string) "Progol" "deadline_hit"
           (status_of (progol ~timeout:0. d).Baselines.Progol.degradation));
+    Alcotest.test_case "FOIL's deadline stops its first count mid-way" `Quick
+      (fun () ->
+        (* "memo" chaos with delays only: every coverage test first sleeps
+           10 ms, so one candidate's count over all examples outlasts the
+           50 ms deadline many times over. FOIL must stop inside that
+           count, after some tries but before one per example. *)
+        let d = hiv_small () in
+        let examples =
+          List.length d.Datasets.Dataset.positives
+          + List.length d.Datasets.Dataset.negatives
+        in
+        Chaos.configure ~p_delay:1.0 ~delay:0.01 ~p_fault:0. ~seed:0
+          [ "memo" ];
+        let r = Fun.protect ~finally:Chaos.clear (fun () -> foil ~timeout:0.05 d) in
+        let tries =
+          r.Baselines.Foil.degradation.Budget.counters.Budget.subsumption_tries
+        in
+        Alcotest.(check string) "deadline_hit" "deadline_hit"
+          (status_of r.Baselines.Foil.degradation);
+        Alcotest.(check bool)
+          (Printf.sprintf "0 < %d tries < %d examples" tries examples)
+          true
+          (tries > 0 && tries < examples));
     Alcotest.test_case "FOIL's coverage calls report into its budget" `Quick
       (fun () ->
         let r = foil ~timeout:60. (hiv_small ()) in

@@ -24,11 +24,25 @@ let dataset_arg =
 
 let method_arg =
   let doc = "Bias method: castor, noconst, manual, aleph or autobias." in
-  Arg.(value & opt string "autobias" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
+  (* "foil" is an undocumented alias of aleph *)
+  let methods =
+    List.map (fun m -> (Autobias.method_to_string m, m)) Autobias.all_methods
+    @ [ ("foil", Autobias.Foil) ]
+  in
+  Arg.(
+    value
+    & opt (enum methods) Autobias.Auto_bias
+    & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
 let strategy_arg =
   let doc = "Sampling strategy: naive, random or stratified." in
-  Arg.(value & opt string "naive" & info [ "s"; "sampling" ] ~docv:"STRATEGY" ~doc)
+  let strategies =
+    List.map (fun s -> (Sampling.Strategy.to_string s, s)) Sampling.Strategy.all
+  in
+  Arg.(
+    value
+    & opt (enum strategies) Sampling.Strategy.Naive
+    & info [ "s"; "sampling" ] ~docv:"STRATEGY" ~doc)
 
 let scale_arg =
   let doc = "Dataset scale multiplier (1.0 = default size)." in
@@ -118,11 +132,7 @@ let kill_after_arg =
   Arg.(value & opt (some int) None & info [ "kill-after-clause" ] ~docv:"K" ~doc)
 
 let config ~strategy ~timeout () =
-  {
-    Autobias.default_config with
-    strategy = Sampling.Strategy.of_string strategy;
-    timeout = Some timeout;
-  }
+  { Autobias.default_config with strategy; timeout = Some timeout }
 
 let trace_arg =
   let doc =
@@ -137,9 +147,9 @@ let trace_arg =
 let metrics_arg =
   let doc =
     "Write a machine-readable run report to $(docv) as JSON: run \
-     configuration, degradation counters, the metrics snapshot \
-     (counters/gauges/latency histograms), the search funnel and per-phase \
-     timings."
+     configuration, the run's degradation counters, the process-wide \
+     metrics snapshot (counters and latency histograms), the search funnel \
+     and per-phase timings."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
@@ -342,14 +352,21 @@ let save_definition path definition =
   Fmt.pr "wrote definition to %s@." path
 
 let load_definition path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  Logic.Parser.definition contents
+  let fail msg =
+    Fmt.epr "cannot load a definition from %s@." msg;
+    exit 2
+  in
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> (
+      try Logic.Parser.definition text
+      with Logic.Parser.Parse_error msg -> fail (path ^ ": " ^ msg))
+  | exception Sys_error msg ->
+      (* a failed open already names the file, a failed read does not *)
+      fail
+        (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg)
 
 let learn_cmd =
-  let run dataset_name method_name strategy scale seed timeout deadline domains
+  let run dataset_name method_ strategy scale seed timeout deadline domains
       chaos chaos_layers chaos_kill checkpoint resume
       kill_after cv show_bias output trace events funnel metrics =
     (* Flags the chosen mode would ignore are refused, not dropped: the
@@ -380,13 +397,12 @@ let learn_cmd =
       exit 2
     end;
     let dataset = dataset_of_name ~scale ~seed dataset_name in
-    let method_ = Autobias.method_of_string method_name in
     let report_config =
       Obs.Json.
         [
           ("dataset", Str dataset_name);
-          ("method", Str method_name);
-          ("strategy", Str strategy);
+          ("method", Str (Autobias.method_to_string method_));
+          ("strategy", Str (Sampling.Strategy.to_string strategy));
           ("scale", Float scale);
           ("seed", Int seed);
           ("timeout_s", Float timeout);
@@ -494,19 +510,6 @@ let learn_cmd =
         Logic.Clause.pp_definition r.Autobias.definition;
       note_degradation d;
       Fmt.pr "degradation: %a@." Budget.pp_degradation d;
-      Option.iter
-        (fun { Learning.Coverage.probes; hits; constraints } ->
-          Fmt.pr "pruning: %d constraints learned, %d/%d probes hit@."
-            constraints hits probes;
-          note_extra
-            ( "pruning",
-              Obs.Json.Obj
-                [
-                  ("probes", Obs.Json.Int probes);
-                  ("hits", Obs.Json.Int hits);
-                  ("constraints", Obs.Json.Int constraints);
-                ] ))
-        r.Autobias.prune;
       note_resilience ();
       report_run ~budget:None pool;
       let cov =
@@ -635,7 +638,7 @@ let data_cmd =
 (* ---------------- predict ---------------- *)
 
 let predict_cmd =
-  let run dataset_name method_name strategy scale seed timeout limit definition_file =
+  let run dataset_name method_ strategy scale seed timeout limit definition_file =
     let dataset = dataset_of_name ~scale ~seed dataset_name in
     let definition =
       match definition_file with
@@ -644,7 +647,6 @@ let predict_cmd =
           Fmt.pr "loaded %d clauses from %s@." (List.length d) path;
           d
       | None ->
-          let method_ = Autobias.method_of_string method_name in
           let config = config ~strategy ~timeout () in
           let rng = Random.State.make [| seed |] in
           let r =
@@ -688,10 +690,9 @@ let predict_cmd =
 (* ---------------- explain ---------------- *)
 
 let explain_cmd =
-  let run dataset_name method_name scale seed timeout limit =
+  let run dataset_name method_ scale seed timeout limit =
     let dataset = dataset_of_name ~scale ~seed dataset_name in
-    let method_ = Autobias.method_of_string method_name in
-    let config = config ~strategy:"naive" ~timeout () in
+    let config = config ~strategy:Sampling.Strategy.Naive ~timeout () in
     let rng = Random.State.make [| seed |] in
     let r =
       Autobias.learn_once ~config method_ dataset ~rng

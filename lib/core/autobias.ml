@@ -208,9 +208,6 @@ type run_result = {
   learn_time : float;
   degradation : Budget.degradation;
       (** why the run ended, and the budget accounting for it *)
-  prune : Learning.Coverage.prune_stats option;
-      (** failure-constraint store traffic for the run's coverage context;
-          [None] when pruning is off *)
 }
 
 (** [learn_once ?config method_ dataset ~rng ~train_pos ~train_neg] learns a
@@ -244,16 +241,7 @@ let learn_once ?(config = default_config) method_ dataset ~rng ~train_pos
         in
         (r.Learning.Learn.definition, r.Learning.Learn.degradation)
   in
-  {
-    definition;
-    bias_info;
-    learn_time = Budget.now () -. t0;
-    degradation;
-    prune =
-      (if Learning.Coverage.pruning_enabled cov then
-         Some (Learning.Coverage.prune_stats cov)
-       else None);
-  }
+  { definition; bias_info; learn_time = Budget.now () -. t0; degradation }
 
 (** [cross_validate ?config ?k method_ dataset ~seed] runs the dataset's
     k-fold protocol for one method and returns the averaged result (one cell

@@ -108,9 +108,6 @@ type run_result = {
   degradation : Budget.degradation;
       (** why the run ended ([Completed] or not: the paper's ">10h" cells)
           and the budget accounting for it *)
-  prune : Learning.Coverage.prune_stats option;
-      (** failure-constraint store traffic (probes / hits / constraints)
-          for the run's coverage context; [None] when pruning is off *)
 }
 
 (** [learn_once ?config method_ dataset ~rng ~train_pos ~train_neg] learns a

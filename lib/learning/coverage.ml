@@ -21,11 +21,11 @@
 module Value = Relational.Value
 
 (* Observability handles, registered once at module init. The histogram
-   tracks real (uncached) subsumption evaluations; memo traffic and
-   inheritance stay in the Budget counters — the single source of truth for
-   degradation accounting — and show up as span args here. *)
+   times real (uncached) subsumption evaluations, so its count is the
+   process's subsumption tries; per run, tries, memo traffic and
+   inheritance are Budget counters, and batch spans show the memo's as
+   args. *)
 let m_eval = Obs.Metrics.histogram "coverage.eval_s"
-let m_tests = Obs.Metrics.counter "coverage.tests"
 let m_ground_bcs = Obs.Metrics.counter "coverage.ground_bcs_built"
 
 (* {2 The coverage memo}
@@ -73,11 +73,7 @@ end)
 type memo = {
   tables : Logic.Compiled.verdict Memo_tbl.t array;
   locks : Mutex.t array;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
 }
-
-type cache_stats = { hits : int; misses : int; entries : int }
 
 type t = {
   db : Relational.Database.t;
@@ -114,8 +110,6 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
            {
              tables = Array.init memo_stripes (fun _ -> Memo_tbl.create 512);
              locks = Array.init memo_stripes (fun _ -> Mutex.create ());
-             hits = Atomic.make 0;
-             misses = Atomic.make 0;
            }
        else None);
     plans = Eval_plan.create ();
@@ -124,30 +118,6 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
   }
 
 let pruning_enabled t = t.prune <> None
-
-type prune_stats = Prune.stats = { probes : int; hits : int; constraints : int }
-
-let prune_stats t =
-  match t.prune with
-  | None -> { probes = 0; hits = 0; constraints = 0 }
-  | Some ps -> Prune.stats ps
-
-let cache_stats t =
-  match t.memo with
-  | None -> { hits = 0; misses = 0; entries = 0 }
-  | Some m ->
-      let entries = ref 0 in
-      Array.iteri
-        (fun i tbl ->
-          Mutex.lock m.locks.(i);
-          entries := !entries + Memo_tbl.length tbl;
-          Mutex.unlock m.locks.(i))
-        m.tables;
-      {
-        hits = Atomic.get m.hits;
-        misses = Atomic.get m.misses;
-        entries = !entries;
-      }
 
 (** [with_budget t budget] is [t] reporting into [budget]: a shallow copy
     sharing the ground-BC cache (and its mutex), so concurrent learns — CV
@@ -214,10 +184,11 @@ let ground_of t example =
 
 let plans t = t.plans
 
-(* Batch entry points run inside a span carrying the batch size and the memo
-   traffic the batch generated (hit/miss deltas read from the memo's own
-   atomics). Checking [enabled] first keeps the disabled path at one atomic
-   load before the real work. *)
+(* Batch entry points run inside a span carrying the batch size and, on a
+   context with a budget, the memo traffic the batch generated (hit/miss
+   deltas of the budget's counters, which a concurrent learn sharing them
+   also moves). Checking [enabled] first keeps the disabled path at one
+   atomic load before the real work. *)
 let traced_batch t name ~examples f =
   if not (Obs.Trace.enabled ()) then f ()
   else
@@ -225,14 +196,19 @@ let traced_batch t name ~examples f =
       ~args:[ ("examples", string_of_int examples) ]
       name
       (fun () ->
-        match t.memo with
+        match t.budget with
         | None -> f ()
-        | Some m ->
-            let h0 = Atomic.get m.hits and m0 = Atomic.get m.misses in
+        | Some b ->
+            let c0 = Budget.counters b in
             let r = f () in
-            Obs.Trace.arg "memo_hits" (string_of_int (Atomic.get m.hits - h0));
+            let c1 = Budget.counters b in
+            Obs.Trace.arg "memo_hits"
+              (string_of_int
+                 (c1.Budget.coverage_memo_hits - c0.Budget.coverage_memo_hits));
             Obs.Trace.arg "memo_misses"
-              (string_of_int (Atomic.get m.misses - m0));
+              (string_of_int
+                 (c1.Budget.coverage_memo_misses
+                 - c0.Budget.coverage_memo_misses));
             r)
 
 (** [warm ?pool t examples] precomputes ground BCs for [examples] (the paper
@@ -270,7 +246,6 @@ let head_subst clause (example : Relational.Relation.tuple) =
    the memo and ARMG inheritance avoided. *)
 let eval_uncached t clause plan example =
   Budget.hit_opt t.budget Budget.Subsumption_try;
-  Obs.Metrics.bump m_tests;
   Obs.Metrics.time m_eval (fun () ->
       (* The symbolic head check is tiny, and keeping it ahead of
          [ground_of] means a head-blocked example never triggers a
@@ -346,11 +321,9 @@ let eval_src t clause example =
       Mutex.unlock lock;
       match cached with
       | Some v ->
-          Atomic.incr m.hits;
           Budget.hit_opt t.budget Budget.Coverage_memo_hit;
           (v, true)
       | None ->
-          Atomic.incr m.misses;
           Budget.hit_opt t.budget Budget.Coverage_memo_miss;
           let v = compute t clause plan example in
           Mutex.lock lock;
@@ -376,27 +349,11 @@ let covers_src t clause example =
     | Logic.Compiled.Blocked _ -> false),
    memo)
 
-(** [covered t clause examples] is the sublist of [examples] covered by
-    [clause]. *)
-let covered t clause examples = List.filter (covers t clause) examples
-
-(** [count t clause examples] is [List.length (covered t clause examples)]. *)
-let count t clause examples =
+(** [count ?pool t clause examples] is how many of [examples] [clause]
+    covers, with the per-example tests fanned out across [pool] when
+    given. *)
+let count ?pool t clause examples =
   traced_batch t "coverage_count" ~examples:(List.length examples) (fun () ->
-      List.fold_left
-        (fun acc e -> if covers t clause e then acc + 1 else acc)
-        0 examples)
-
-(** [covered_many ?pool t clause examples] is {!covered} with the per-example
-    tests fanned out across [pool]; result order is input order. *)
-let covered_many ?pool t clause examples =
-  traced_batch t "covered_many" ~examples:(List.length examples) (fun () ->
-      Parallel.Par.parallel_filter ?pool (covers t clause) examples)
-
-(** [count_many ?pool t clause examples] is {!count} with the per-example
-    tests fanned out across [pool]. *)
-let count_many ?pool t clause examples =
-  traced_batch t "count_many" ~examples:(List.length examples) (fun () ->
       Parallel.Par.parallel_filter_count ?pool (covers t clause) examples)
 
 (** [definition_covers t def example] holds iff some clause of [def] covers

@@ -12,13 +12,10 @@
 
 type t
 
-(** Snapshot of the verdict memo: lifetime hit/miss counts and the number of
-    entries currently stored. All zero when caching is disabled. *)
-type cache_stats = { hits : int; misses : int; entries : int }
-
 (** Evaluation runs through the int-coded kernel ({!Logic.Compiled}).
-    [?budget] is a sink for degradation counters (frontier truncations, memo
-    hits/misses); it never changes any coverage verdict. [?use_cache]
+    [?budget] receives the context's search counters (subsumption tries,
+    frontier truncations, memo hits/misses, constraints learned) — the only
+    per-run tally of them — and never changes any verdict. [?use_cache]
     (default [true]) enables the lock-striped verdict memo: verdicts are pure
     functions of (clause, example) given the captured seed, so caching is
     invisible to results — [false] exists for A/B measurement.
@@ -38,18 +35,6 @@ val create :
   t
 
 val pruning_enabled : t -> bool
-
-(** Failure-constraint store snapshot (all zero when pruning is off). *)
-type prune_stats = Prune.stats = {
-  probes : int;
-  hits : int;
-  constraints : int;
-}
-
-val prune_stats : t -> prune_stats
-
-(** [cache_stats t] — a consistent-enough snapshot of the verdict memo. *)
-val cache_stats : t -> cache_stats
 
 (** [memo_hash ~key_hash example] — the verdict memo's hash of a (clause,
     example) pair, from the clause plan's {!Logic.Compiled.key_hash}: it
@@ -123,25 +108,10 @@ val covers : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool
     know whether a candidate cost any real subsumption work. *)
 val covers_src : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool * bool
 
-(** [covered t clause examples] — the covered sublist. *)
-val covered :
-  t -> Logic.Clause.t -> Relational.Relation.tuple list -> Relational.Relation.tuple list
-
-(** [count t clause examples] — how many are covered. *)
-val count : t -> Logic.Clause.t -> Relational.Relation.tuple list -> int
-
-(** [covered_many ?pool t clause examples] — {!covered} with per-example
-    tests fanned out across [pool]; result order is input order. *)
-val covered_many :
-  ?pool:Parallel.Pool.t ->
-  t ->
-  Logic.Clause.t ->
-  Relational.Relation.tuple list ->
-  Relational.Relation.tuple list
-
-(** [count_many ?pool t clause examples] — {!count} with per-example tests
-    fanned out across [pool]. Equal to [count] for every pool size. *)
-val count_many :
+(** [count ?pool t clause examples] — how many are covered, with the
+    per-example tests fanned out across [pool] when given. The same for
+    every pool size. *)
+val count :
   ?pool:Parallel.Pool.t ->
   t ->
   Logic.Clause.t ->

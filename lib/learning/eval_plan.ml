@@ -17,7 +17,6 @@
     two sweeps at once. *)
 
 let m_compile = Obs.Metrics.histogram "coverage.compile_s"
-let m_compiled = Obs.Metrics.counter "coverage.plans_compiled"
 
 (* Physical identity keys: [Hashtbl.hash] is structural but bounded (it
    visits a limited number of nodes), so hashing a clause is O(1); equality
@@ -61,7 +60,6 @@ let plan_for t clause =
       Mutex.unlock t.lock;
       let p =
         Obs.Metrics.time m_compile (fun () ->
-            Obs.Metrics.bump m_compiled;
             Logic.Compiled.compile t.symtab clause)
       in
       Mutex.lock t.lock;

@@ -9,7 +9,7 @@ val symtab : t -> Logic.Compiled.Symtab.t
 
 (** [plan_for t clause] — the cached (or freshly compiled) plan for this
     physical clause. Compilation time lands in the [coverage.compile_s]
-    histogram. *)
+    histogram, whose count is the number of plans compiled. *)
 val plan_for : t -> Logic.Clause.t -> Logic.Compiled.plan
 
 (** [key t clause] — the canonical int-id memo key of [clause]: injective

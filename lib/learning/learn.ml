@@ -734,12 +734,12 @@ let learn ?(config = default_config) cov ~rng ~positives ~negatives =
            if sample_ok then Budget.set_phase budget "acceptance";
            let pos_covered =
              if sample_ok then
-               Coverage.count_many ?pool:config.pool cov best.clause !uncovered
+               Coverage.count ?pool:config.pool cov best.clause !uncovered
              else 0
            in
            let neg_covered =
              if sample_ok then
-               Coverage.count_many ?pool:config.pool cov best.clause negatives
+               Coverage.count ?pool:config.pool cov best.clause negatives
              else 0
            in
            if sample_ok && meets_criterion ~config ~pos_covered ~neg_covered

@@ -35,9 +35,10 @@ module Int_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* Store traffic, process-wide. Constraints learned are a per-run Budget
+   counter ([Constraint_learned]), bumped by the coverage context. *)
 let m_probes = Obs.Metrics.counter "prune.probes"
 let m_hits = Obs.Metrics.counter "prune.hits"
-let m_constraints = Obs.Metrics.counter "prune.constraints"
 
 (* Trie node over key elements. [blocked >= 0] marks a stored signature
    ending here: the prefix walked so far is blocked at literal [blocked].
@@ -68,26 +69,11 @@ let stripe_cap = 1 lsl 12
    bottom-clause prefixes almost never recur exactly. *)
 let max_signature = 2048
 
-type t = {
-  stripes : stripe array;
-  probes : int Atomic.t;
-  hits : int Atomic.t;
-}
+type t = stripe array
 
-type stats = { probes : int; hits : int; constraints : int }
-
-let create () =
-  {
-    stripes =
-      Array.init n_stripes (fun _ ->
-          {
-            lock = Mutex.create ();
-            roots = Hashtbl.create 64;
-            entries = 0;
-          });
-    probes = Atomic.make 0;
-    hits = Atomic.make 0;
-  }
+let create () : t =
+  Array.init n_stripes (fun _ ->
+      { lock = Mutex.create (); roots = Hashtbl.create 64; entries = 0 })
 
 (* Same stable structural hash the coverage context derives per-example
    RNGs from: independent of physical identity and insertion order. *)
@@ -95,26 +81,13 @@ let example_hash (example : Relational.Relation.tuple) =
   Array.fold_left (fun acc v -> (acc * 31) + Relational.Value.hash v) 17 example
 
 let stripe_of (t : t) example =
-  t.stripes.(example_hash example land max_int mod n_stripes)
-
-let stats (t : t) =
-  let constraints =
-    Array.fold_left
-      (fun acc s ->
-        Mutex.lock s.lock;
-        let n = acc + s.entries in
-        Mutex.unlock s.lock;
-        n)
-      0 t.stripes
-  in
-  { probes = Atomic.get t.probes; hits = Atomic.get t.hits; constraints }
+  t.(example_hash example land max_int mod n_stripes)
 
 (** [probe t ~example ~key] — [Some i] when a stored failure signature is a
     prefix of [key]: the clause is [Blocked i] on [example], no evaluation
     needed. Walks the trie until the first terminal, a missing edge, or the
     key ends. *)
 let probe (t : t) ~example ~key =
-  Atomic.incr t.probes;
   Obs.Metrics.bump m_probes;
   let s = stripe_of t example in
   Mutex.lock s.lock;
@@ -141,10 +114,7 @@ let probe (t : t) ~example ~key =
         if n < 2 then None else walk root 0 (2 + key.(1))
   in
   Mutex.unlock s.lock;
-  if r <> None then begin
-    Atomic.incr t.hits;
-    Obs.Metrics.bump m_hits
-  end;
+  if r <> None then Obs.Metrics.bump m_hits;
   r
 
 (* End offset of literal segment [index] (head = 0) in a canonical key. *)
@@ -209,6 +179,5 @@ let learn (t : t) ~example ~key ~blocked =
       end
     in
     Mutex.unlock s.lock;
-    if added then Obs.Metrics.bump m_constraints;
     added
   end

@@ -21,14 +21,10 @@ type t
 
 val create : unit -> t
 
-(** Lifetime probe/hit counts and the number of constraints stored. *)
-type stats = { probes : int; hits : int; constraints : int }
-
-val stats : t -> stats
-
 (** [probe t ~example ~key] — [Some i] when a stored failure signature
     prefixes [key] (canonical key from {!Logic.Compiled.key}): the clause
-    is [Blocked i] on [example] without evaluating. *)
+    is [Blocked i] on [example] without evaluating. Every probe bumps the
+    process-wide [prune.probes] metric, every hit [prune.hits]. *)
 val probe :
   t -> example:Relational.Relation.tuple -> key:int array -> int option
 

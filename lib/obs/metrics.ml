@@ -7,7 +7,6 @@
     so the loop re-reads the exact box it is replacing). *)
 
 type counter = { c_name : string; cell : int Atomic.t }
-type gauge = { g_name : string; g_cell : int Atomic.t }
 
 (* Log-spaced bucket upper bounds, seconds: 1µs · 2^k. The last bound is
    ~67s; observations beyond it land in the overflow bucket and percentile
@@ -25,7 +24,6 @@ type histogram = {
 
 let lock = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let registered tbl name make =
@@ -47,13 +45,6 @@ let counter name =
 let bump c = Atomic.incr c.cell
 let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c.cell n)
 let counter_value c = Atomic.get c.cell
-
-let gauge name =
-  registered gauges name (fun () -> { g_name = name; g_cell = Atomic.make 0 })
-
-let gauge_set g v = Atomic.set g.g_cell v
-let gauge_add g n = ignore (Atomic.fetch_and_add g.g_cell n)
-let gauge_value g = Atomic.get g.g_cell
 
 let histogram name =
   registered histograms name (fun () ->
@@ -109,7 +100,6 @@ type histogram_snapshot = {
 
 type snapshot = {
   counters : (string * int) list;
-  gauges : (string * int) list;
   histograms : (string * histogram_snapshot) list;
 }
 
@@ -151,15 +141,11 @@ let snapshot_histogram h =
 let snapshot () =
   Mutex.lock lock;
   let cs = Hashtbl.fold (fun _ c acc -> c :: acc) counters [] in
-  let gs = Hashtbl.fold (fun _ g acc -> g :: acc) gauges [] in
   let hs = Hashtbl.fold (fun _ h acc -> h :: acc) histograms [] in
   Mutex.unlock lock;
   {
     counters =
       List.map (fun c -> (c.c_name, Atomic.get c.cell)) cs
-      |> List.sort compare;
-    gauges =
-      List.map (fun g -> (g.g_name, Atomic.get g.g_cell)) gs
       |> List.sort compare;
     histograms =
       List.map (fun h -> (h.h_name, snapshot_histogram h)) hs
@@ -192,7 +178,6 @@ let to_json s =
   Json.Obj
     [
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.counters));
-      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.gauges));
       ( "histograms",
         Json.Obj
           (List.map
@@ -213,7 +198,6 @@ let to_json s =
 let reset () =
   Mutex.lock lock;
   Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
-  Hashtbl.iter (fun _ g -> Atomic.set g.g_cell 0) gauges;
   Hashtbl.iter
     (fun _ h ->
       Array.iter (fun b -> Atomic.set b 0) h.buckets;

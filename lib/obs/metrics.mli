@@ -1,4 +1,4 @@
-(** Process-wide lock-free metrics registry: monotone counters, gauges and
+(** Process-wide lock-free metrics registry: monotone counters and
     fixed-bucket latency histograms, all safe to bump from pool workers on
     any domain.
 
@@ -10,12 +10,17 @@
     through every layer the learner touches would dwarf the subsystem it
     observes.
 
-    The shared degradation events (memo hits/misses, subsumption tries, ...)
-    stay in {!Budget} — the single source of truth — and are merged into
-    exported snapshots by {!Run_report}, not double-counted here. *)
+    Each fact has one counter per scope. Per run, the search events (memo
+    hits/misses, subsumption tries, constraints learned, ...) are {!Budget}
+    counters, and {!Run_report} shows them beside this snapshot. Per
+    process, they live here, and a histogram's [count] is its event's
+    tally: no counter recounts it (the one exception, [pool.tasks_run],
+    equals [pool.queue_wait_s]'s count and stays because the e2e benchmark
+    reads it). Current values a component can compute on demand (queue
+    depth, jobs in flight) are not metrics at all: the owner's [stats]
+    reads them. *)
 
 type counter
-type gauge
 type histogram
 
 (** [counter name] registers (or retrieves) the monotone counter [name]. *)
@@ -24,14 +29,6 @@ val counter : string -> counter
 val bump : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-
-(** [gauge name] registers (or retrieves) the gauge [name] — a value that
-    can move both ways (queue depth, pool utilization). *)
-val gauge : string -> gauge
-
-val gauge_set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 (** [histogram name] registers (or retrieves) a latency histogram. Values
     are observed in {e seconds}; buckets are fixed log-spaced bounds from
@@ -55,7 +52,6 @@ type histogram_snapshot = {
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)
-  gauges : (string * int) list;  (** sorted by name *)
   histograms : (string * histogram_snapshot) list;  (** sorted by name *)
 }
 

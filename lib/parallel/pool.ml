@@ -22,13 +22,12 @@
 
     Observability: each queued task carries its enqueue timestamp, so the
     worker that dequeues it can attribute queue-wait vs. run time (the
-    [pool.queue_wait_s] / [pool.task_run_s] histograms), the current queue
-    depth is mirrored into the [pool.queue_depth] gauge, per-worker
-    dequeued-task counts are kept for the utilization view in {!stats}, and
-    each task runs inside an [Obs.Trace] span on its worker's own track —
-    one trace row per domain in Perfetto. All of it is atomics or
-    already-locked counter updates; a pool without tracing enabled pays one
-    atomic load per task for the span site. *)
+    [pool.queue_wait_s] / [pool.task_run_s] histograms), per-worker
+    dequeued-task counts are the pool's task tally (the utilization view in
+    {!stats}; [tasks_run] is their sum), and each task runs inside an
+    [Obs.Trace] span on its worker's own track — one trace row per domain
+    in Perfetto. All of it is atomics; a pool without tracing enabled pays
+    one atomic load per task for the span site. *)
 
 type fault = { exn : exn; backtrace : Printexc.raw_backtrace }
 
@@ -66,7 +65,6 @@ type t = {
   budget : Budget.t option;
       (** bounds supervision backoff sleeps: a cancelled budget ends them *)
   policy : Resilience.Policy.t;
-  tasks_run : int Atomic.t;
   dropped : int Atomic.t;
   restarts : int Atomic.t;
   quarantined : int Atomic.t;
@@ -92,12 +90,9 @@ let default_size () = max 1 (Domain.recommended_domain_count () - 1)
 
 let clamp size = max 1 (min max_size size)
 
-let m_queue_depth = Obs.Metrics.gauge "pool.queue_depth"
 let m_queue_wait = Obs.Metrics.histogram "pool.queue_wait_s"
 let m_task_run = Obs.Metrics.histogram "pool.task_run_s"
 let m_tasks = Obs.Metrics.counter "pool.tasks_run"
-let m_restarts = Obs.Metrics.counter "pool.worker_restarts"
-let m_quarantined = Obs.Metrics.counter "pool.jobs_quarantined"
 
 let note_fault (t : t) e =
   let backtrace = Printexc.get_raw_backtrace () in
@@ -131,7 +126,6 @@ let rec die t w task e bt =
       in
       t.quarantine <- record :: t.quarantine;
       Atomic.incr t.quarantined;
-      Obs.Metrics.bump m_quarantined;
       Logs.warn (fun m ->
           m "Parallel.Pool: job %d quarantined after killing %d workers (%s)"
             task.id task.kills (Printexc.to_string e));
@@ -169,7 +163,6 @@ let rec die t w task e bt =
           m "Parallel.Pool: worker %d died and the restart budget is spent; \
              pool continues with fewer workers" w)
   | Some n ->
-      Obs.Metrics.bump m_restarts;
       Budget.sleepf ?budget:t.budget
         ~stop:(fun () -> t.stopping)
         (Resilience.Policy.backoff t.policy ~attempt:(min n 16) ~salt:(Hashtbl.hash (w, n)));
@@ -190,15 +183,12 @@ and worker_loop t w () =
     if Queue.is_empty t.queue && t.stopping then Mutex.unlock t.lock
     else begin
       let task = Queue.pop t.queue in
-      Obs.Metrics.gauge_set m_queue_depth (Queue.length t.queue);
       Mutex.unlock t.lock;
       let dequeued_at = Budget.now () in
       let wait = dequeued_at -. task.enqueued_at in
       Obs.Metrics.observe m_queue_wait wait;
-      Atomic.incr t.tasks_run;
-      (* counted at dequeue, like [tasks_run]: once a caller has observed a
-         batch complete (every task body returned), both tallies are final
-         and sum(per_worker) = tasks_run *)
+      (* counted at dequeue: once a caller has observed a batch complete
+         (every task body returned), the tally is final *)
       Atomic.incr t.per_worker.(w);
       Obs.Metrics.bump m_tasks;
       let outcome =
@@ -245,7 +235,6 @@ let create ?size ?chaos ?budget ?(policy = Resilience.Policy.default) () =
       chaos;
       budget;
       policy;
-      tasks_run = Atomic.make 0;
       dropped = Atomic.make 0;
       restarts = Atomic.make 0;
       quarantined = Atomic.make 0;
@@ -264,14 +253,15 @@ let stats (t : t) =
   Mutex.lock t.lock;
   let queue_depth = Queue.length t.queue in
   Mutex.unlock t.lock;
+  let per_worker = Array.map Atomic.get t.per_worker in
   {
     size = t.size;
-    tasks_run = Atomic.get t.tasks_run;
+    tasks_run = Array.fold_left ( + ) 0 per_worker;
     dropped = Atomic.get t.dropped;
     restarts = Atomic.get t.restarts;
     quarantined = Atomic.get t.quarantined;
     queue_depth;
-    per_worker = Array.map Atomic.get t.per_worker;
+    per_worker;
   }
 
 let first_fault t =
@@ -305,7 +295,6 @@ let submit ?on_fault ?on_quarantine t task =
     invalid_arg "Parallel.Pool.submit: pool is shut down"
   end;
   Queue.push task t.queue;
-  Obs.Metrics.gauge_set m_queue_depth (Queue.length t.queue);
   Condition.signal t.nonempty;
   Mutex.unlock t.lock
 

@@ -34,14 +34,13 @@ type quarantine = {
 
 type stats = {
   size : int;  (** worker domains *)
-  tasks_run : int;  (** tasks dequeued by workers so far *)
+  tasks_run : int;  (** tasks dequeued so far: the sum of [per_worker] *)
   dropped : int;  (** tasks whose exception the pool had to drop *)
   restarts : int;  (** worker domains respawned after a fatal fault *)
   quarantined : int;  (** jobs quarantined after repeated worker kills *)
   queue_depth : int;  (** tasks currently waiting in the queue *)
   per_worker : int array;
-      (** tasks dequeued per worker, by spawn index — the utilization view;
-          sums to [tasks_run] once submitted work has finished *)
+      (** tasks dequeued per worker, by spawn index — the utilization view *)
 }
 
 (** [create ?size ?chaos ?budget ?policy ()] spawns [size] worker domains.

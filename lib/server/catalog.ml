@@ -11,11 +11,14 @@ type key = { name : string; scale : float; seed : int }
 
 type error =
   | Unknown_dataset of string
+  | Invalid_scale of float
   | Generation_failed of { dataset : string; message : string }
 
 let error_to_string = function
   | Unknown_dataset d ->
       Printf.sprintf "unknown dataset %S (known: uw, imdb, hiv, flt, sys)" d
+  | Invalid_scale s ->
+      Printf.sprintf "scale must be a positive finite number, not %g" s
   | Generation_failed { dataset; message } ->
       Printf.sprintf "generating %S failed: %s" dataset message
 
@@ -26,10 +29,10 @@ type t = {
 
 let create () = { entries = Atomic.make []; load_lock = Mutex.create () }
 
-let known = [ "uw"; "imdb"; "hiv"; "flt"; "sys" ]
-
 let generate ~name ~scale ~seed =
   match name with
+  | _ when not (Float.is_finite scale && scale > 0.) ->
+      Error (Invalid_scale scale)
   | "uw" -> Ok (Datasets.Uw.generate ~seed ~scale ())
   | "imdb" -> Ok (Datasets.Imdb.generate ~seed ~scale ())
   | "hiv" -> Ok (Datasets.Hiv.generate ~seed ~scale ())
@@ -44,31 +47,28 @@ let load t ~name ~scale ~seed =
   match find t key with
   | Some d -> Ok d
   | None ->
-      if not (List.mem name known) then Error (Unknown_dataset name)
-      else begin
-        Mutex.lock t.load_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.load_lock)
-          (fun () ->
-            (* double-check: another domain may have published it while we
-               waited for the load lock *)
-            match find t key with
-            | Some d -> Ok d
-            | None -> (
-                match
-                  try generate ~name ~scale ~seed
-                  with e ->
-                    Error
-                      (Generation_failed
-                         { dataset = name; message = Printexc.to_string e })
-                with
-                | Error _ as e -> e
-                | Ok d ->
-                    (* the load lock is held: a plain read-modify-write
-                       cannot race another publisher *)
-                    Atomic.set t.entries ((key, d) :: Atomic.get t.entries);
-                    Ok d))
-      end
+      Mutex.lock t.load_lock;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.load_lock)
+        (fun () ->
+          (* double-check: another domain may have published it while we
+             waited for the load lock *)
+          match find t key with
+          | Some d -> Ok d
+          | None -> (
+              match
+                try generate ~name ~scale ~seed
+                with e ->
+                  Error
+                    (Generation_failed
+                       { dataset = name; message = Printexc.to_string e })
+              with
+              | Error _ as e -> e
+              | Ok d ->
+                  (* the load lock is held: a plain read-modify-write
+                     cannot race another publisher *)
+                  Atomic.set t.entries ((key, d) :: Atomic.get t.entries);
+                  Ok d))
 
 let loaded t =
   List.map

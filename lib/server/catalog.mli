@@ -12,6 +12,7 @@ type t
 
 type error =
   | Unknown_dataset of string
+  | Invalid_scale of float  (** not a positive finite number *)
   | Generation_failed of { dataset : string; message : string }
       (** the generator itself raised; the message ships to the client *)
 
@@ -20,9 +21,10 @@ val error_to_string : error -> string
 val create : unit -> t
 
 (** [generate ~name ~scale ~seed] builds a fresh dataset by name, uncached
-    — the table every front end resolves dataset names through.
-    [Error (Unknown_dataset name)] for a name outside uw, imdb, hiv, flt
-    and sys. *)
+    — the table every front end resolves dataset names through, and so the
+    one place a scale is checked. [Error (Invalid_scale scale)] unless
+    [scale] is positive and finite; [Error (Unknown_dataset name)] for a
+    name outside uw, imdb, hiv, flt and sys. *)
 val generate :
   name:string -> scale:float -> seed:int -> (Datasets.Dataset.t, error) result
 

@@ -92,17 +92,6 @@ type t = {
   mutable n_retries : int;
 }
 
-let m_submitted = Obs.Metrics.counter "server.submitted"
-let m_completed = Obs.Metrics.counter "server.completed"
-let m_degraded = Obs.Metrics.counter "server.degraded"
-let m_rejected = Obs.Metrics.counter "server.rejected"
-let m_quarantined = Obs.Metrics.counter "server.quarantined"
-let m_failed = Obs.Metrics.counter "server.failed"
-let m_retries = Obs.Metrics.counter "server.retries"
-let m_in_flight = Obs.Metrics.gauge "server.in_flight"
-let m_waiting = Obs.Metrics.gauge "server.waiting"
-let m_latency = Obs.Metrics.histogram "server.job_latency_s"
-
 let create ?pool ?on_complete ?(config = default_config) handler =
   let config =
     {
@@ -190,19 +179,12 @@ let rec finish t job outcome =
       (match outcome with
       | Protocol.Completed _ ->
           t.n_completed <- t.n_completed + 1;
-          Obs.Metrics.bump m_completed;
           t.latencies <- latency :: t.latencies
       | Protocol.Degraded _ ->
           t.n_degraded <- t.n_degraded + 1;
-          Obs.Metrics.bump m_degraded;
           t.latencies <- latency :: t.latencies
-      | Protocol.Quarantined _ ->
-          t.n_quarantined <- t.n_quarantined + 1;
-          Obs.Metrics.bump m_quarantined
-      | Protocol.Failed _ ->
-          t.n_failed <- t.n_failed + 1;
-          Obs.Metrics.bump m_failed);
-      Obs.Metrics.observe m_latency latency;
+      | Protocol.Quarantined _ -> t.n_quarantined <- t.n_quarantined + 1
+      | Protocol.Failed _ -> t.n_failed <- t.n_failed + 1);
       t.ewma_latency <-
         (if t.ewma_latency = 0. then latency
          else (0.8 *. t.ewma_latency) +. (0.2 *. latency));
@@ -213,8 +195,6 @@ let rec finish t job outcome =
             t.in_flight <- t.in_flight - 1;
             None
       in
-      Obs.Metrics.gauge_set m_in_flight t.in_flight;
-      Obs.Metrics.gauge_set m_waiting (Queue.length t.waiting_q);
       Condition.broadcast t.job_done;
       Mutex.unlock t.lock;
       (match t.on_complete with
@@ -229,10 +209,7 @@ and attempt_failed t job ~exn ~backtrace =
   job.attempts <- job.attempts + 1;
   let attempts = job.attempts in
   let quarantine = attempts >= t.config.max_attempts in
-  if not quarantine then begin
-    t.n_retries <- t.n_retries + 1;
-    Obs.Metrics.bump m_retries
-  end;
+  if not quarantine then t.n_retries <- t.n_retries + 1;
   Mutex.unlock t.lock;
   if quarantine then begin
     job_event job "job.quarantined"
@@ -324,7 +301,6 @@ let submit t request =
     && Queue.length t.waiting_q >= t.config.max_queue
   then begin
     t.n_rejected <- t.n_rejected + 1;
-    Obs.Metrics.bump m_rejected;
     let retry_after = retry_after_estimate t in
     Mutex.unlock t.lock;
     Obs.Events.emit "job.rejected"
@@ -337,7 +313,6 @@ let submit t request =
   end
   else begin
     t.n_submitted <- t.n_submitted + 1;
-    Obs.Metrics.bump m_submitted;
     let deadline =
       match (Protocol.common_of_request request).Protocol.deadline with
       | Some _ as d -> d
@@ -362,8 +337,6 @@ let submit t request =
     let run_now = t.in_flight < t.config.max_in_flight in
     if run_now then t.in_flight <- t.in_flight + 1
     else Queue.push job t.waiting_q;
-    Obs.Metrics.gauge_set m_in_flight t.in_flight;
-    Obs.Metrics.gauge_set m_waiting (Queue.length t.waiting_q);
     Mutex.unlock t.lock;
     job_event job "job.admitted"
       [
@@ -417,11 +390,20 @@ let stats t =
   Mutex.unlock t.lock;
   s
 
-let latencies t =
+(* Exact nearest-rank percentiles of every completed/degraded job's
+   latency: the [latency] object of both [stats deep] and the run report. *)
+let latency_json t =
   Mutex.lock t.lock;
-  let l = t.latencies in
+  let lat = Array.of_list t.latencies in
   Mutex.unlock t.lock;
-  Array.of_list (List.rev l)
+  let pct = Obs.Metrics.percentile lat in
+  Obs.Json.Obj
+    [
+      ("jobs", Obs.Json.Int (Array.length lat));
+      ("p50_s", Obs.Json.Float (pct 0.50));
+      ("p95_s", Obs.Json.Float (pct 0.95));
+      ("p99_s", Obs.Json.Float (pct 0.99));
+    ]
 
 let stats_to_json (s : stats) =
   Obs.Json.Obj
@@ -489,6 +471,7 @@ let deep_stats_json ?catalog t =
       ("stats", stats_to_json (stats t));
       ("in_flight_jobs", Obs.Json.List (List.map job_json jobs));
       ("queue_depth", Obs.Json.Int queue_depth);
+      ("latency", latency_json t);
       ("ewma_latency_s", Obs.Json.Float ewma);
       ("catalog", catalog_json);
       ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
@@ -521,9 +504,6 @@ let drain ?deadline t =
   wait ()
 
 let run_report ?(name = "server") t =
-  let s = stats t in
-  let lat = latencies t in
-  let pct = Obs.Metrics.percentile lat in
   Obs.Run_report.make ~name
     ~config:
       [
@@ -536,15 +516,5 @@ let run_report ?(name = "server") t =
           | None -> Obs.Json.Null );
       ]
     ~extra:
-      [
-        ("server", stats_to_json s);
-        ( "latency",
-          Obs.Json.Obj
-            [
-              ("jobs", Obs.Json.Int (Array.length lat));
-              ("p50_s", Obs.Json.Float (pct 0.50));
-              ("p95_s", Obs.Json.Float (pct 0.95));
-              ("p99_s", Obs.Json.Float (pct 0.99));
-            ] );
-      ]
+      [ ("server", stats_to_json (stats t)); ("latency", latency_json t) ]
     ()

@@ -93,14 +93,12 @@ val stats_to_json : stats -> Obs.Json.t
 (** [deep_stats_json ?catalog t] — the introspection snapshot behind the
     protocol's [stats deep]: the flat tallies plus every outstanding job
     (id, request, queued/running, live learner phase from its budget's
-    phase cell, elapsed seconds, attempts), current queue depth, the EWMA
-    latency backpressure hint, the loaded catalog keys (when [catalog] is
-    given), a full metrics snapshot, and the wide-event drop count. *)
+    phase cell, elapsed seconds, attempts), current queue depth, the exact
+    latency percentiles of finished jobs (the run report's [latency]
+    object), the EWMA latency backpressure hint, the loaded catalog keys
+    (when [catalog] is given), a full metrics snapshot, and the wide-event
+    drop count. *)
 val deep_stats_json : ?catalog:Catalog.t -> t -> Obs.Json.t
-
-(** [latencies t] — wall-clock seconds of every completed/degraded job, in
-    completion order; feed {!Obs.Metrics.percentile}. *)
-val latencies : t -> float array
 
 (** [drain ?deadline t] stops admitting (subsequent submits get
     [Draining]) and blocks until every outstanding job has answered. Past

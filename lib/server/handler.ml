@@ -10,8 +10,6 @@
 
 exception Bad_request of string
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
-
 let method_of_string m =
   try Autobias.method_of_string m
   with Invalid_argument msg -> raise (Bad_request msg)
@@ -21,7 +19,6 @@ let strategy_of_string s =
   with Invalid_argument msg | Failure msg -> raise (Bad_request msg)
 
 let dataset_of catalog (c : Protocol.common) =
-  if c.Protocol.scale <= 0. then bad "scale must be positive";
   match
     Catalog.load catalog ~name:c.Protocol.dataset ~scale:c.Protocol.scale
       ~seed:c.Protocol.seed

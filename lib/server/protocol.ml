@@ -65,10 +65,12 @@ let verb_of_request = function
 
 let ( let* ) = Result.bind
 
+(* NaN and infinity parse as floats, but no option means anything by them:
+   a NaN timeout or deadline would never expire. *)
 let parse_float key v =
   match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: not a number: %S" key v)
+  | Some f when Float.is_finite f -> Ok f
+  | _ -> Error (Printf.sprintf "%s: not a finite number: %S" key v)
 
 let parse_int key v =
   match int_of_string_opt v with
@@ -123,7 +125,8 @@ let parse_request line =
                 Ok (limit, { c with deadline = Some f })
             | "limit" ->
                 let* i = parse_int k v in
-                Ok (i, c)
+                if i < 0 then Error (Printf.sprintf "limit: negative: %d" i)
+                else Ok (i, c)
             | _ -> Error (Printf.sprintf "unknown option %S" k))
           (Ok (10, default_common dataset))
           kvs

@@ -63,7 +63,9 @@ val default_common : string -> common
 val common_of_request : request -> common
 val verb_of_request : request -> string
 
-(** [parse_request line] — total: every malformed line is a typed [Error]. *)
+(** [parse_request line] — total: every malformed line (unknown verb or
+    key, a number that does not parse or is not finite, a negative
+    [limit]) is a typed [Error]. *)
 val parse_request : string -> (request, string) result
 
 (** [request_to_string r] re-renders [r] in the request grammar

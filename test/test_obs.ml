@@ -97,20 +97,16 @@ let utf8_tests =
 
 let metrics_tests =
   [
-    Alcotest.test_case "counters, gauges and histograms snapshot" `Quick
+    Alcotest.test_case "counters and histograms snapshot" `Quick
       (fun () ->
         Metrics.reset ();
         let c = Metrics.counter "test.counter" in
-        let g = Metrics.gauge "test.gauge" in
         let h = Metrics.histogram "test.histogram" in
         Metrics.bump c;
         Metrics.add c 4;
-        Metrics.gauge_set g 7;
-        Metrics.gauge_add g (-3);
         List.iter (Metrics.observe h) [ 0.001; 0.002; 0.004; 0.1 ];
         let s = Metrics.snapshot () in
         Alcotest.(check int) "counter" 5 (List.assoc "test.counter" s.Metrics.counters);
-        Alcotest.(check int) "gauge" 4 (List.assoc "test.gauge" s.Metrics.gauges);
         let hs = List.assoc "test.histogram" s.Metrics.histograms in
         Alcotest.(check int) "count" 4 hs.Metrics.count;
         Alcotest.(check (float 1e-9)) "sum" 0.107 hs.Metrics.sum;

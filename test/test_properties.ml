@@ -72,11 +72,15 @@ let coverage_properties =
            let s = 1 + (seed mod 17) in
            let d = Datasets.Uw.generate ~seed:s ~scale:0.3 () in
            let mk use_cache =
-             Coverage.create ~use_cache d.Datasets.Dataset.db
-               d.Datasets.Dataset.manual_bias
-               ~rng:(Random.State.make [| s; 77 |])
+             let budget = Budget.create () in
+             ( budget,
+               Coverage.create ~budget ~use_cache d.Datasets.Dataset.db
+                 d.Datasets.Dataset.manual_bias
+                 ~rng:(Random.State.make [| s; 77 |]) )
            in
-           let cached = mk true and oracle = mk false in
+           let cached_budget, cached = mk true
+           and oracle_budget, oracle = mk false in
+           let memo_hits b = (Budget.counters b).Budget.coverage_memo_hits in
            let pos = Array.of_list d.Datasets.Dataset.positives in
            let bc =
              Learning.Bottom_clause.build d.Datasets.Dataset.db
@@ -102,8 +106,8 @@ let coverage_properties =
                    first = truth && again = truth)
                  examples)
              clauses
-           && (Coverage.cache_stats cached).Coverage.hits > 0
-           && (Coverage.cache_stats oracle).Coverage.hits = 0));
+           && memo_hits cached_budget > 0
+           && memo_hits oracle_budget = 0));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"ARMG monotonicity: child covers everything its parent covers"

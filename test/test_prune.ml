@@ -85,7 +85,7 @@ let learn_uw ?pool ?(use_pruning = true) ~seed () =
     Learn.learn ~config cov ~rng ~positives:d.Datasets.Dataset.positives
       ~negatives:d.Datasets.Dataset.negatives
   in
-  (r, Coverage.prune_stats cov)
+  r
 
 let ab_tests =
   [
@@ -96,8 +96,8 @@ let ab_tests =
            the accepted definition must be bit-identical with the store on
            and off at a fixed seed. The store must also earn its keep: it
            cuts subsumption tries to at most 0.8x (about 0.5x today). *)
-        let on, stats = learn_uw ~use_pruning:true ~seed:5 () in
-        let off, _ = learn_uw ~use_pruning:false ~seed:5 () in
+        let on = learn_uw ~use_pruning:true ~seed:5 () in
+        let off = learn_uw ~use_pruning:false ~seed:5 () in
         Alcotest.(check string) "identical definition"
           (render off.Learn.definition)
           (render on.Learn.definition);
@@ -111,14 +111,11 @@ let ab_tests =
           true
           (float_of_int tries_on <= 0.8 *. float_of_int tries_off);
         Alcotest.(check bool) "constraints were learned" true
-          ((counters on).Budget.constraints_learned > 0);
-        Alcotest.(check bool) "the store was probed" true (stats.probes > 0);
-        Alcotest.(check bool) "store stats agree with the counter" true
-          (stats.constraints <= (counters on).Budget.constraints_learned));
+          ((counters on).Budget.constraints_learned > 0));
     Alcotest.test_case "prune on under a 2-domain pool: bit-identical" `Slow
       (fun () ->
-        let off, _ = learn_uw ~use_pruning:false ~seed:5 () in
-        let pooled, _ =
+        let off = learn_uw ~use_pruning:false ~seed:5 () in
+        let pooled =
           Pool.with_pool ~size:2 (fun p ->
               learn_uw ~pool:p ~use_pruning:true ~seed:5 ())
         in

@@ -71,6 +71,13 @@ let protocol_tests =
             "learn uw seed=1.5";
             "learn uw bogus";
             "learn uw unknown=1";
+            "learn uw scale=nan";
+            "learn uw scale=inf";
+            "learn uw timeout=nan";
+            "learn uw deadline=nan";
+            "learn uw deadline=-inf";
+            "infer uw limit=-3";
+            "explain uw limit=-1";
           ]);
     Alcotest.test_case "responses and rejections render to valid JSON" `Quick
       (fun () ->
@@ -112,6 +119,30 @@ let protocol_tests =
         | Error e -> Alcotest.fail e);
   ]
 
+(* Any line at all, and lines assembled from the grammar's own words, so
+   that the key=value paths are reached too. *)
+let parse_total_property =
+  let word =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl
+            [ "learn"; "bias"; "infer"; "explain"; "uw"; "scale"; "seed";
+              "timeout"; "deadline"; "limit"; "nan"; "inf"; "-3"; "0.5"; "" ];
+          string_printable;
+        ])
+  in
+  let kv = QCheck.Gen.(map (String.concat "=") (list_size (1 -- 3) word)) in
+  let line =
+    QCheck.Gen.(
+      oneof [ string; map (String.concat " ") (list_size (0 -- 6) kv) ])
+  in
+  QCheck.Test.make ~name:"parse_request answers Ok or Error on any string"
+    ~count:2000
+    (QCheck.make ~print:String.escaped line)
+    (fun l ->
+      match Protocol.parse_request l with Ok _ | Error _ -> true)
+
 (* ---------------- catalog ---------------- *)
 
 let catalog_tests =
@@ -123,6 +154,18 @@ let catalog_tests =
         | Error (Catalog.Unknown_dataset "nope") -> ()
         | Error e -> Alcotest.fail (Catalog.error_to_string e)
         | Ok _ -> Alcotest.fail "loaded a dataset that does not exist");
+    Alcotest.test_case "a non-positive or non-finite scale is a typed error"
+      `Quick (fun () ->
+        let c = Catalog.create () in
+        List.iter
+          (fun scale ->
+            match Catalog.load c ~name:"uw" ~scale ~seed:1 with
+            | Error (Catalog.Invalid_scale _) -> ()
+            | Error e -> Alcotest.fail (Catalog.error_to_string e)
+            | Ok _ -> Alcotest.failf "loaded uw at scale %g" scale)
+          [ 0.; -1.; Float.nan; Float.infinity ];
+        Alcotest.(check int) "nothing published" 0
+          (List.length (Catalog.loaded c)));
     Alcotest.test_case "repeat load returns the same physical entry" `Quick
       (fun () ->
         let c = Catalog.create () in
@@ -632,6 +675,43 @@ let observability_tests =
             ignore (Daemon.await daemon j1);
             ignore (Daemon.await daemon j2);
             Daemon.drain daemon));
+    Alcotest.test_case "stats deep carries the run report's latency object"
+      `Quick (fun () ->
+        (* seed 1 completes, seed 2 degrades, seed 3 is a bad request:
+           the percentiles cover completed and degraded jobs only *)
+        let handler ~budget req =
+          match (Protocol.common_of_request req).Protocol.seed with
+          | 2 ->
+              ( null_payload,
+                Some (Budget.degradation ~status:Budget.Deadline_hit budget) )
+          | 3 -> raise (Server.Handler.Bad_request "no")
+          | _ -> (null_payload, None)
+        in
+        let daemon = Daemon.create handler in
+        List.iter
+          (fun seed ->
+            match Daemon.submit_and_wait daemon (learn_uw ~seed ()) with
+            | Ok _ -> ()
+            | Error _ -> Alcotest.fail "rejected")
+          [ 1; 2; 3; 1 ];
+        let s = Daemon.stats daemon in
+        Alcotest.(check (list int)) "completed, degraded, failed" [ 2; 1; 1 ]
+          [ s.Daemon.completed; s.Daemon.degraded; s.Daemon.failed ];
+        let latency j =
+          match Obs.Json.member "latency" j with
+          | Some l -> l
+          | None -> Alcotest.fail "no latency object"
+        in
+        let deep = latency (Daemon.deep_stats_json daemon) in
+        (match Obs.Json.member "jobs" deep with
+        | Some (Obs.Json.Int n) ->
+            Alcotest.(check int) "jobs = completed + degraded"
+              (s.Daemon.completed + s.Daemon.degraded) n
+        | _ -> Alcotest.fail "latency has no job count");
+        Alcotest.(check string) "same object as the run report"
+          (Obs.Json.to_string
+             (latency (Obs.Run_report.to_json (Daemon.run_report daemon))))
+          (Obs.Json.to_string deep));
     Alcotest.test_case
       "drain-path flush: trace and event log are complete and parseable"
       `Quick (fun () ->
@@ -744,7 +824,9 @@ let baseline_deadline_tests =
   ]
 
 let suite =
-  protocol_tests @ catalog_tests
+  protocol_tests
+  @ [ QCheck_alcotest.to_alcotest parse_total_property ]
+  @ catalog_tests
   @ [ QCheck_alcotest.to_alcotest admission_property ]
   @ retry_tests @ deadline_tests @ soak_tests @ observability_tests
   @ determinism_tests @ baseline_deadline_tests

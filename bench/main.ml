@@ -938,6 +938,27 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Discovery.Ind.discover d.Dataset.db ~extra:[])))
   in
+  (* One SYS ground BC as Coverage.ground_of builds it on a miss: the
+     sys-learn workload's data and induced bias, a plan and symbol table
+     that outlive the build, a fresh per-example RNG. *)
+  let ground_test =
+    let sys = Datasets.Sys_data.generate ~seed:42 ~scale:0.05 () in
+    let bias =
+      (Autobias.bias_for Autobias.Auto_bias Autobias.default_config sys
+         ~train_pos:sys.Dataset.positives)
+        .Autobias.bias
+    in
+    let config = Autobias.bc_config Autobias.default_config in
+    let plan = Learning.Bottom_clause.plan sys.Dataset.db bias in
+    let tab = Logic.Compiled.Symtab.create () in
+    let example = List.hd sys.Dataset.positives in
+    Test.make ~name:"ground-bc-sys"
+      (Staged.stage (fun () ->
+           ignore
+             (Learning.Bottom_clause.ground ~config plan tab
+                ~rng:(Random.State.make [| 42; 0 |])
+                ~example)))
+  in
   let armg_test =
     let bc = Learning.Bottom_clause.build d.Dataset.db bias ~rng ~example in
     let e2 = List.nth d.Dataset.positives 1 in
@@ -950,7 +971,7 @@ let micro () =
       ([ bc_test Sampling.Strategy.Naive; bc_test Sampling.Strategy.Random;
          bc_test Sampling.Strategy.Stratified ]
       @ subsumption_tests @ sampling_tests
-      @ [ ind_test; armg_test ])
+      @ [ ground_test; ind_test; armg_test ])
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]

@@ -52,11 +52,26 @@ let seed_arg =
   let doc = "Random seed (generation and learning are deterministic given it)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"INT" ~doc)
 
+(* A time limit is a finite number of seconds >= 0: a NaN limit never
+   expires and a negative one has expired before the run starts. Anything
+   else is a usage error, like an unknown method. *)
+let seconds =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f >= 0. -> Ok f
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf
+                "invalid value '%s', expected a finite number of seconds >= 0" s))
+  in
+  Arg.conv ~docv:"SECONDS" (parse, Format.pp_print_float)
+
 let timeout_arg =
   let doc = "Learning timeout in seconds (per run/fold)." in
   Arg.(
     value
-    & opt float Server.Protocol.default_timeout
+    & opt seconds Server.Protocol.default_timeout
     & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
 let deadline_arg =
@@ -67,7 +82,7 @@ let deadline_arg =
      accumulated so far, and reports the degradation (beam rounds cut, \
      candidates abandoned, ...)."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt (some seconds) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let domains_arg =
   let doc =

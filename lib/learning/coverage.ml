@@ -5,13 +5,18 @@
     to [e]'s constants, the body of [C] θ-subsumes the ground bottom clause
     of [e]. Ground BCs are built once per example — with the same sampling
     strategy used for bottom clauses, as the paper prescribes — and cached
-    here for the many coverage tests generalization performs.
+    here for the many coverage tests generalization performs. They are
+    built straight into the compiled kernel's int form
+    ({!Bottom_clause.ground}, from the bias plan made at {!create}): each
+    sampled tuple is interned once per context in the symbol table every
+    clause is compiled against, so a ground BC never exists as literals.
 
     The context is shared across domains by the parallel learner, so the
     cache is read-mostly behind a mutex: lookups and inserts hold the lock
     only for the table operation itself, while the expensive RNG-driven BC
-    construction runs outside it (a racing duplicate build keeps the first
-    inserted result). Construction draws from a {e per-example}
+    construction runs outside it, concurrently with other builds on the
+    same symbol table (a racing duplicate build keeps the first inserted
+    result). Construction draws from a {e per-example}
     [Random.State] derived from the master seed captured at {!create}, so a
     ground BC is a pure function of (master seed, example) — identical no
     matter which domain builds it, in what order, or whether a pool is used
@@ -79,6 +84,7 @@ type t = {
   db : Relational.Database.t;
   bias : Bias.Language.t;
   bc_config : Bottom_clause.config;
+  bc_plan : Bottom_clause.plan;  (** [db] and [bias], as ground builds read them *)
   seed_base : int;  (** master seed for per-example ground-BC RNGs *)
   grounds : (Relational.Relation.tuple, Logic.Compiled.ground) Hashtbl.t;
   lock : Mutex.t;  (** guards [grounds] *)
@@ -101,6 +107,7 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
     db;
     bias;
     bc_config;
+    bc_plan = Bottom_clause.plan db bias;
     seed_base = Random.State.bits rng;
     grounds = Hashtbl.create 256;
     lock = Mutex.create ();
@@ -164,12 +171,8 @@ let ground_of t example =
       let g =
         Obs.Trace.span ~cat:"coverage" "ground_bc" (fun () ->
             Obs.Metrics.bump m_ground_bcs;
-            let clause =
-              Bottom_clause.build_ground ~config:t.bc_config t.db t.bias
-                ~rng:(example_rng t example) ~example
-            in
-            Logic.Compiled.compile_ground (Eval_plan.symtab t.plans) ~example
-              (Logic.Clause.body clause))
+            Bottom_clause.ground ~config:t.bc_config t.bc_plan
+              (Eval_plan.symtab t.plans) ~rng:(example_rng t example) ~example)
       in
       Mutex.lock t.lock;
       let g =

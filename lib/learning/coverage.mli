@@ -2,7 +2,8 @@
     (Section 5): clause [C] covers example [e] iff, after binding [C]'s head
     to [e]'s constants, body(C) θ-subsumes the ground BC of [e]. Ground BCs
     are built once per example with the same sampling strategy used for
-    bottom clauses and cached in the context.
+    bottom clauses, straight into the compiled kernel's int form
+    ({!Bottom_clause.ground}), and cached in the context.
 
     The context is safe to share across domains: the cache sits behind a
     mutex whose critical sections are just the table operations, and ground

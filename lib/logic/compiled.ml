@@ -5,12 +5,13 @@
     sweep millions of times over the same ground bottom clauses, so this
     module compiles both sides of the test once:
 
-    - predicate symbols and constants are {e interned} into contiguous int
-      ids ({!Symtab}), making every equality test an int comparison;
-    - a ground bottom clause is flattened into int arrays with precomputed
-      per-predicate and per-(predicate, position, value) adjacency indexes
-      ({!compile_ground}), probed without hashing strings or allocating
-      tuple keys per literal;
+    - predicate symbols, constants and ground tuples are {e interned} into
+      contiguous int ids ({!Symtab}), making every equality test an int
+      comparison; a tuple's values are interned once per table;
+    - a ground bottom clause is a sequence of interned tuples (rows),
+      flattened into int arrays with precomputed per-predicate and
+      per-(predicate, position, value) adjacency indexes
+      ({!ground_of_rows}), probed without hashing strings;
     - a candidate clause is compiled into a {!plan}: dense variable
       numbering, int-coded head and body, and a canonical int key that
       keys the coverage memo;
@@ -57,15 +58,50 @@
 
 module Value = Relational.Value
 
+(* The int hash of plan keys, tuple rows and adjacency keys, reading every
+   element: the polymorphic [Hashtbl.hash] stops after ten ints, so plan
+   keys sharing a head and their first body literal — one ARMG lineage —
+   would all collide. FNV-1a over whole ints, then a final avalanche that
+   spreads the entropy into the high bits too. *)
+let hash_mix h x = (h lxor x) * 0x100000001b3
+
+let hash_finish h =
+  let h = (h lxor (h lsr 29)) * 0x2545f4914f6cdd1d in
+  (h lxor (h lsr 32)) land max_int
+
+let hash_seed = 0x4bf29ce484222325
+
 (** {1 Symbol table} *)
 
+(* A ground literal interned once per symbol table: [args] are the const
+   ids of its tuple, [id] numbers the distinct (predicate, tuple) pairs. *)
+type row = { id : int; pred : int; args : int array }
+
 module Symtab = struct
+  (* Rows are keyed by predicate id and the tuple's values. *)
+  module Tuple_tbl = Hashtbl.Make (struct
+    type t = int * Value.t array
+
+    let equal ((p, a) : t) (q, b) =
+      p = q && Array.length a = Array.length b && Array.for_all2 Value.equal a b
+
+    let hash ((p, a) : t) =
+      let h = ref (hash_mix hash_seed p) in
+      for i = 0 to Array.length a - 1 do
+        h :=
+          hash_mix !h
+            (match a.(i) with Value.Int n -> n | Value.Str s -> Hashtbl.hash s)
+      done;
+      hash_finish !h
+  end)
+
   type t = {
     lock : Mutex.t;
     preds : (string, int) Hashtbl.t;
     consts : int Value.Table.t;
     mutable values : Value.t array;  (** id → value (reverse array) *)
     mutable n_values : int;
+    rows : row Tuple_tbl.t;
   }
 
   let create () =
@@ -75,6 +111,7 @@ module Symtab = struct
       consts = Value.Table.create 1024;
       values = Array.make 1024 (Value.Int 0);
       n_values = 0;
+      rows = Tuple_tbl.create 1024;
     }
 
   let pred_id t p =
@@ -90,25 +127,45 @@ module Symtab = struct
     Mutex.unlock t.lock;
     id
 
+  (* The caller holds [t.lock]. *)
+  let intern t v =
+    match Value.Table.find_opt t.consts v with
+    | Some id -> id
+    | None ->
+        let id = t.n_values in
+        if id >= Array.length t.values then begin
+          let bigger = Array.make (2 * Array.length t.values) (Value.Int 0) in
+          Array.blit t.values 0 bigger 0 t.n_values;
+          t.values <- bigger
+        end;
+        t.values.(id) <- v;
+        t.n_values <- id + 1;
+        Value.Table.add t.consts v id;
+        id
+
   let const_id t v =
     Mutex.lock t.lock;
-    let id =
-      match Value.Table.find_opt t.consts v with
-      | Some id -> id
-      | None ->
-          let id = t.n_values in
-          if id >= Array.length t.values then begin
-            let bigger = Array.make (2 * Array.length t.values) (Value.Int 0) in
-            Array.blit t.values 0 bigger 0 t.n_values;
-            t.values <- bigger
-          end;
-          t.values.(id) <- v;
-          t.n_values <- id + 1;
-          Value.Table.add t.consts v id;
-          id
-    in
+    let id = intern t v in
     Mutex.unlock t.lock;
     id
+
+  (* One probe per sampled tuple: a tuple seen before, by any build on
+     this table, costs a hash of its values and no interning. *)
+  let row t ~pred tuple =
+    let key = (pred, tuple) in
+    Mutex.lock t.lock;
+    let r =
+      match Tuple_tbl.find_opt t.rows key with
+      | Some r -> r
+      | None ->
+          let r =
+            { id = Tuple_tbl.length t.rows; pred; args = Array.map (intern t) tuple }
+          in
+          Tuple_tbl.add t.rows key r;
+          r
+    in
+    Mutex.unlock t.lock;
+    r
 
   (* Lock-free read of the reverse array. Safe because callers only index it
      with ids obtained from a plan or compiled ground that was published to
@@ -116,26 +173,37 @@ module Symtab = struct
      release/acquire pair orders the interning writes — including the array
      growth — before this read, and growth only ever appends. *)
   let values t = t.values
+
+  let pred_names t =
+    Mutex.lock t.lock;
+    let names = Array.make (Hashtbl.length t.preds) "" in
+    Hashtbl.iter (fun p id -> names.(id) <- p) t.preds;
+    Mutex.unlock t.lock;
+    names
 end
+
+let row_id r = r.id
+let row_args r = r.args
 
 (** {1 Compiled ground clauses} *)
 
 (* Adjacency keys are (pred id, position, const id) triples in their own
    hashtable: a packed-int key would need bounds on ids interned after the
    ground was compiled, and a wrong-bucket collision would silently corrupt
-   verdicts. The per-probe tuple lives and dies in the minor heap. *)
+   verdicts. The per-probe tuple lives and dies in the minor heap; the hash
+   is plain int arithmetic, no C call. *)
 module Adj = Hashtbl.Make (struct
   type t = int * int * int
 
   let equal (a, b, c) (d, e, f) = a = d && b = e && c = f
-  let hash (a, b, c) = Hashtbl.hash (((a * 31) + b) lxor (c * 0x9e3779b1))
+  let hash (a, b, c) = hash_finish (hash_mix (hash_mix (hash_mix hash_seed a) b) c)
 end)
 
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
   let equal (a : int) b = a = b
-  let hash = Hashtbl.hash
+  let hash x = x land max_int
 end)
 
 type ground = {
@@ -152,49 +220,41 @@ type ground = {
 
 let ground_size g = Array.length g.g_pred
 
-(** [compile_ground tab ~example lits] flattens ground literals [lits] (in
-    order) and interns [example] alongside, so evaluation never touches the
-    symbol table. Raises [Invalid_argument] on a non-ground literal. *)
-let compile_ground tab ~example lits =
-  let n = List.length lits in
+(** [ground_of_rows tab ~example rows] — the ground whose body is [rows] in
+    order (a row listed twice is two literals), with [example] interned
+    alongside so evaluation never touches the symbol table. The indexes are
+    built from the rows' ids alone. *)
+let ground_of_rows tab ~example rows =
+  let n = Array.length rows in
   let g_pred = Array.make n 0 in
   let g_off = Array.make (n + 1) 0 in
-  let total =
-    List.fold_left (fun acc l -> acc + Literal.arity l) 0 lits
-  in
+  let total = Array.fold_left (fun acc r -> acc + Array.length r.args) 0 rows in
   let g_args = Array.make (max 1 total) 0 in
   let by_pred = Int_tbl.create 16 in
   let adj = Adj.create 64 in
+  let push tbl find add key i =
+    match find tbl key with Some b -> b := i :: !b | None -> add tbl key (ref [ i ])
+  in
   let off = ref 0 in
-  List.iteri
-    (fun i l ->
-      let p = Symtab.pred_id tab (Literal.pred l) in
-      g_pred.(i) <- p;
+  Array.iteri
+    (fun i r ->
+      g_pred.(i) <- r.pred;
       g_off.(i) <- !off;
-      let bucket = try Int_tbl.find by_pred p with Not_found -> [] in
-      Int_tbl.replace by_pred p (i :: bucket);
+      push by_pred Int_tbl.find_opt Int_tbl.add r.pred i;
       Array.iteri
-        (fun pos t ->
-          match t with
-          | Term.Const v ->
-              let c = Symtab.const_id tab v in
-              g_args.(!off + pos) <- c;
-              let key = (p, pos, c) in
-              let b = try Adj.find adj key with Not_found -> [] in
-              Adj.replace adj key (i :: b)
-          | Term.Var _ ->
-              invalid_arg
-                ("Compiled.compile_ground: " ^ Literal.to_string l))
-        (Literal.args l);
-      off := !off + Literal.arity l)
-    lits;
+        (fun pos c ->
+          g_args.(!off + pos) <- c;
+          push adj Adj.find_opt Adj.add (r.pred, pos, c) i)
+        r.args;
+      off := !off + Array.length r.args)
+    rows;
   g_off.(n) <- !off;
   (* Array.of_list keeps the prepend-reversed order, matching the reference
      engine's bucket iteration order exactly. *)
   let g_by_pred = Int_tbl.create (Int_tbl.length by_pred) in
-  Int_tbl.iter (fun p b -> Int_tbl.replace g_by_pred p (Array.of_list b)) by_pred;
+  Int_tbl.iter (fun p b -> Int_tbl.add g_by_pred p (Array.of_list !b)) by_pred;
   let g_adj = Adj.create (Adj.length adj) in
-  Adj.iter (fun k b -> Adj.replace g_adj k (Array.of_list b)) adj;
+  Adj.iter (fun k b -> Adj.add g_adj k (Array.of_list !b)) adj;
   {
     g_pred;
     g_off;
@@ -202,6 +262,51 @@ let compile_ground tab ~example lits =
     g_by_pred;
     g_adj;
     g_example = Array.map (Symtab.const_id tab) example;
+  }
+
+(** [compile_ground tab ~example lits] — {!ground_of_rows} of ground
+    literals [lits]. Raises [Invalid_argument] on a non-ground literal. *)
+let compile_ground tab ~example lits =
+  let row l =
+    Symtab.row tab
+      ~pred:(Symtab.pred_id tab (Literal.pred l))
+      (Array.map
+         (function
+           | Term.Const v -> v
+           | Term.Var _ ->
+               invalid_arg ("Compiled.compile_ground: " ^ Literal.to_string l))
+         (Literal.args l))
+  in
+  ground_of_rows tab ~example (Array.of_list (List.map row lits))
+
+type ground_view = {
+  literals : (string * Value.t array) array;
+  offsets : int array;
+  by_pred : (string * int array) list;
+  adjacency : ((string * int * Value.t) * int array) list;
+  example : Value.t array;
+}
+
+let view tab g =
+  let names = Symtab.pred_names tab and vals = Symtab.values tab in
+  let sorted l = List.sort compare l in
+  {
+    literals =
+      Array.mapi
+        (fun i p ->
+          ( names.(p),
+            Array.init (g.g_off.(i + 1) - g.g_off.(i)) (fun k ->
+                vals.(g.g_args.(g.g_off.(i) + k))) ))
+        g.g_pred;
+    offsets = Array.copy g.g_off;
+    by_pred =
+      sorted (Int_tbl.fold (fun p b acc -> (names.(p), b) :: acc) g.g_by_pred []);
+    adjacency =
+      sorted
+        (Adj.fold
+           (fun (p, pos, c) b acc -> ((names.(p), pos, vals.(c)), b) :: acc)
+           g.g_adj []);
+    example = Array.map (fun c -> vals.(c)) g.g_example;
   }
 
 (** {1 Compiled clause plans} *)
@@ -228,17 +333,7 @@ type plan = {
 let key p = p.p_key
 let key_hash p = p.p_hash
 
-(* A hash of every element: the polymorphic [Hashtbl.hash] stops after ten
-   ints, so keys sharing a head and their first body literal — one ARMG
-   lineage — would all collide. FNV-1a over whole ints, then a final
-   avalanche that spreads the entropy into the high bits too. *)
-let hash_mix h x = (h lxor x) * 0x100000001b3
-
-let hash_finish h =
-  let h = (h lxor (h lsr 29)) * 0x2545f4914f6cdd1d in
-  (h lxor (h lsr 32)) land max_int
-
-let hash_key k = hash_finish (Array.fold_left hash_mix 0x4bf29ce484222325 k)
+let hash_key k = hash_finish (Array.fold_left hash_mix hash_seed k)
 let n_body p = Array.length p.p_pred
 
 (* The canonical key is a prefix-free concatenation of per-literal segments

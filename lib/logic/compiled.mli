@@ -1,8 +1,9 @@
 (** The int-coded θ-subsumption kernel: coverage testing (Section 5) and
     ARMG (Section 2.3.2) as one left-to-right substitution-frontier sweep.
 
-    Predicate symbols and constants are interned into contiguous int ids;
-    ground bottom clauses flatten into int arrays with precomputed
+    Predicate symbols, constants and ground tuples are interned into
+    contiguous int ids; ground bottom clauses are sequences of interned
+    tuples (rows), flattened into int arrays with precomputed
     per-(predicate, position, value) adjacency indexes; candidate clauses
     compile once into evaluation {!plan}s; and the sweep runs over reusable
     {!scratch} arenas — loops over int arrays, no per-step allocation.
@@ -15,28 +16,64 @@
     [Value.compare] on the reverse array, so results do not depend on
     interning order (and hence not on pool scheduling). *)
 
-(** A process- or context-wide interner for predicate symbols and constant
-    values. Thread-safe: interning takes an internal mutex; the kernel reads
-    the constants' reverse array lock-free (safe for ids published to it
-    through any mutex, e.g. a plan or ground cache). *)
+(** An interned ground literal: a (predicate, tuple) pair, interned once
+    per symbol table. *)
+type row
+
+(** A process- or context-wide interner for predicate symbols, constant
+    values and ground tuples. Thread-safe: interning takes an internal
+    mutex; the kernel reads the constants' reverse array lock-free (safe
+    for ids published to it through any mutex, e.g. a plan or ground
+    cache). *)
 module Symtab : sig
   type t
 
   val create : unit -> t
   val pred_id : t -> string -> int
   val const_id : t -> Relational.Value.t -> int
+
+  (** [row t ~pred tuple] — the row of [tuple] under predicate id [pred]:
+      its values are interned on first sight only, and equal tuples get
+      the same row. *)
+  val row : t -> pred:int -> Relational.Relation.tuple -> row
 end
+
+(** [row_id r] numbers the distinct rows of one symbol table (equal ids ⟺
+    equal literals). [row_args r] — the const ids of its tuple; do not
+    mutate. *)
+val row_id : row -> int
+
+val row_args : row -> int array
 
 type ground
 (** A compiled ground clause body plus its interned example tuple. *)
 
 val ground_size : ground -> int
 
-(** [compile_ground tab ~example lits] flattens ground literals [lits],
-    preserving their order in every index.
+(** [ground_of_rows tab ~example rows] — the ground whose body is [rows],
+    in order, indexed by predicate and by (predicate, position, const). *)
+val ground_of_rows :
+  Symtab.t -> example:Relational.Relation.tuple -> row array -> ground
+
+(** [compile_ground tab ~example lits] — {!ground_of_rows} of ground
+    literals [lits], preserving their order in every index.
     @raise Invalid_argument if some literal is not ground. *)
 val compile_ground :
   Symtab.t -> example:Relational.Relation.tuple -> Literal.t list -> ground
+
+(** A ground decoded to predicate names and values, every index in full:
+    equal views ⟺ the same ground, across symbol tables. For tests. *)
+type ground_view = {
+  literals : (string * Relational.Value.t array) array;  (** body, in order *)
+  offsets : int array;  (** literal → offset of its first argument *)
+  by_pred : (string * int array) list;
+      (** predicate → literal indexes, by predicate *)
+  adjacency : ((string * int * Relational.Value.t) * int array) list;
+      (** (predicate, position, value) → literal indexes, by key *)
+  example : Relational.Value.t array;
+}
+
+val view : Symtab.t -> ground -> ground_view
 
 type plan
 (** A compiled candidate clause: dense variable numbering, int-coded head

@@ -72,6 +72,11 @@ let parse_float key v =
   | Some f when Float.is_finite f -> Ok f
   | _ -> Error (Printf.sprintf "%s: not a finite number: %S" key v)
 
+(* A time limit below zero has expired before the job starts. *)
+let parse_seconds key v =
+  let* f = parse_float key v in
+  if f < 0. then Error (Printf.sprintf "%s: negative: %g" key f) else Ok f
+
 let parse_int key v =
   match int_of_string_opt v with
   | Some i -> Ok i
@@ -118,10 +123,10 @@ let parse_request line =
                 let* i = parse_int k v in
                 Ok (limit, { c with seed = i })
             | "timeout" ->
-                let* f = parse_float k v in
+                let* f = parse_seconds k v in
                 Ok (limit, { c with timeout = f })
             | "deadline" ->
-                let* f = parse_float k v in
+                let* f = parse_seconds k v in
                 Ok (limit, { c with deadline = Some f })
             | "limit" ->
                 let* i = parse_int k v in

@@ -65,7 +65,7 @@ val verb_of_request : request -> string
 
 (** [parse_request line] — total: every malformed line (unknown verb or
     key, a number that does not parse or is not finite, a negative
-    [limit]) is a typed [Error]. *)
+    [limit], [timeout] or [deadline]) is a typed [Error]. *)
 val parse_request : string -> (request, string) result
 
 (** [request_to_string r] re-renders [r] in the request grammar

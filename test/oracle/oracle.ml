@@ -512,3 +512,122 @@ let generalize ?cap ?observe ~subst c g =
           frontier_n := next_n)
     body;
   kept
+
+(* ---------------- The symbolic ground bottom clause ---------------- *)
+
+(* The reference for [Learning.Bottom_clause.ground]: Algorithm 2 with
+   constants keyed by value, type sets as string sets, and every sampled
+   tuple noted and turned into a literal, deduplicated structurally. *)
+
+module Value = Relational.Value
+module String_set = Bias.Util.String_set
+
+type bc_state = {
+  bias : Bias.Language.t;
+  db : Relational.Database.t;
+  rng : Random.State.t;
+  cfg : Learning.Bottom_clause.config;
+  types_of_const : String_set.t Value.Table.t;
+  mutable known : Value.Set.t;
+  mutable round_known : Value.Set.t;
+  literals : (Literal.t, unit) Hashtbl.t;
+  mutable order : Literal.t list;
+}
+
+let note_constant st v types =
+  let existing =
+    Option.value ~default:String_set.empty
+      (Value.Table.find_opt st.types_of_const v)
+  in
+  Value.Table.replace st.types_of_const v (String_set.union existing types);
+  st.known <- Value.Set.add v st.known
+
+let known_of_types st types =
+  Value.Set.filter
+    (fun v ->
+      match Value.Table.find_opt st.types_of_const v with
+      | None -> false
+      | Some s -> not (String_set.is_empty (String_set.inter s types)))
+    st.round_known
+
+let tuples_for_mode st (mode : Bias.Mode.t) =
+  let pred = mode.Bias.Mode.pred in
+  match Relational.Database.find_opt st.db pred with
+  | None -> []
+  | Some rel -> (
+      match Bias.Mode.input_positions mode with
+      | [] -> []
+      | first :: others ->
+          let feed pos =
+            known_of_types st (Bias.Language.attribute_types st.bias pred pos)
+          in
+          let known = feed first in
+          if Value.Set.is_empty known then []
+          else
+            let constant_positions =
+              List.filter
+                (Bias.Language.constant_allowed st.bias pred)
+                (List.init (Relational.Relation.arity rel) Fun.id)
+            in
+            Sampling.Strategy.sample st.cfg.strategy ~rng:st.rng ~rel ~pos:first
+              ~known ~size:st.cfg.sample_size ~constant_positions
+            |> List.filter (fun t ->
+                   List.for_all (fun pos -> Value.Set.mem t.(pos) (feed pos)) others))
+
+let ground_bottom_clause ?(config = Learning.Bottom_clause.default_config) db bias
+    ~rng ~example =
+  let st =
+    {
+      bias;
+      db;
+      rng;
+      cfg = config;
+      types_of_const = Value.Table.create 64;
+      known = Value.Set.empty;
+      round_known = Value.Set.empty;
+      literals = Hashtbl.create 128;
+      order = [];
+    }
+  in
+  let target = (Bias.Language.target bias).Relational.Schema.rel_name in
+  Array.iteri
+    (fun i v -> note_constant st v (Bias.Language.attribute_types bias target i))
+    example;
+  let modes =
+    List.stable_sort
+      (fun a b ->
+        compare
+          (List.length (Bias.Mode.constant_positions b))
+          (List.length (Bias.Mode.constant_positions a)))
+      (Bias.Language.modes bias)
+  in
+  for _round = 1 to config.Learning.Bottom_clause.depth do
+    st.round_known <- st.known;
+    if not (Value.Set.is_empty st.round_known) then
+      List.iter
+        (fun (mode : Bias.Mode.t) ->
+          let pred = mode.Bias.Mode.pred in
+          List.iter
+            (fun t ->
+              let args =
+                Array.mapi
+                  (fun i v ->
+                    (match mode.Bias.Mode.symbols.(i) with
+                    | Bias.Mode.Constant -> ()
+                    | Bias.Mode.Input | Bias.Mode.Output ->
+                        note_constant st v (Bias.Language.attribute_types bias pred i));
+                    Term.Const v)
+                  t
+              in
+              let l = Literal.make pred args in
+              if
+                Hashtbl.length st.literals < config.max_body_literals
+                && not (Hashtbl.mem st.literals l)
+              then begin
+                Hashtbl.replace st.literals l ();
+                st.order <- l :: st.order
+              end)
+            (tuples_for_mode st mode))
+        modes
+  done;
+  List.rev st.order

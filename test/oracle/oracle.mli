@@ -14,7 +14,11 @@
     - a left-to-right {e substitution-frontier} sweep whose per-literal
       frontier is capped: {!eval_prefix} stops at the blocking atom,
       {!generalize} drops it (ARMG). {!Logic.Compiled.eval} and
-      {!Logic.Compiled.generalize} must agree with these exactly. *)
+      {!Logic.Compiled.generalize} must agree with these exactly.
+
+    It also keeps the symbolic ground bottom clause
+    ({!ground_bottom_clause}) that {!Learning.Bottom_clause.ground} must
+    reproduce row for row. *)
 
 open Logic
 
@@ -94,3 +98,18 @@ val generalize :
   Clause.t ->
   ground ->
   bool array
+
+(** {1 Ground bottom clauses} *)
+
+(** [ground_bottom_clause ?config db bias ~rng ~example] — the ground
+    bottom clause of [example] (Algorithm 2 with every position kept a
+    constant) as literals: constants keyed by value, type sets as string
+    sets, each sampled tuple noted and deduplicated structurally. The same
+    sampler calls as {!Learning.Bottom_clause.ground}. *)
+val ground_bottom_clause :
+  ?config:Learning.Bottom_clause.config ->
+  Relational.Database.t ->
+  Bias.Language.t ->
+  rng:Random.State.t ->
+  example:Relational.Relation.tuple ->
+  Literal.t list

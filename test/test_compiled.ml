@@ -19,12 +19,9 @@ let verdict_eq a b =
 let truncations b = (Budget.counters b).Budget.coverage_truncated
 
 (* The ground BC of [example] in both representations, from one literal
-   list: what a coverage context caches, and what the oracle sweeps. *)
+   list: the kernel's form, and what the oracle sweeps. *)
 let grounds tab (d : Datasets.Dataset.t) ~rng example =
-  let body =
-    Logic.Clause.body
-      (Learning.Bottom_clause.build_ground d.db d.manual_bias ~rng ~example)
-  in
+  let body = Oracle.ground_bottom_clause d.db d.manual_bias ~rng ~example in
   (Compiled.compile_ground tab ~example body, Oracle.ground_of_literals body)
 
 (* The oracle's verdict behind the same head binding coverage uses. *)
@@ -224,6 +221,108 @@ let kernel_properties =
                && Learning.Eval_plan.generalize ep c comp_g = oracle None)
              clauses));
   ]
+
+(* ---------------- Ground bottom clauses ---------------- *)
+
+(* [Bottom_clause.ground] builds rows straight into the kernel's form; the
+   oracle keeps the symbolic build as the reference. The two must agree row
+   for row: same literals in the same order, offsets, per-predicate buckets and
+   adjacency buckets, on every dataset, sampling strategy and body cap —
+   the cap decides which tuples enter the body, while every sampled tuple
+   still steers later samples through the constants it notes. *)
+let ground_datasets =
+  [
+    ("uw", fun seed -> Datasets.Uw.generate ~seed ~scale:0.3 ());
+    ("sys", fun seed -> Datasets.Sys_data.generate ~seed ~scale:0.05 ());
+    ("hiv", fun seed -> Datasets.Hiv.generate ~seed ~scale:0.2 ());
+    ("imdb", fun seed -> Datasets.Imdb.generate ~seed ~scale:0.2 ());
+    ("flt", fun seed -> Datasets.Flt.generate ~seed ~scale:0.2 ());
+  ]
+
+let auto_bias (d : Datasets.Dataset.t) =
+  (Autobias.bias_for Autobias.Auto_bias Autobias.default_config d
+     ~train_pos:d.positives)
+    .Autobias.bias
+
+let ground_identity () =
+  let mismatches = ref [] and checked = ref 0 in
+  List.iter
+    (fun (name, generate) ->
+      List.iter
+        (fun seed ->
+          let d = generate seed in
+          let examples =
+            Logic.Util.take 4 d.Datasets.Dataset.positives
+            @ Logic.Util.take 4 d.Datasets.Dataset.negatives
+          in
+          List.iter
+            (fun (bias_name, bias) ->
+              List.iter
+                (fun strategy ->
+                  List.iter
+                    (fun cap ->
+                      let config =
+                        {
+                          Learning.Bottom_clause.default_config with
+                          strategy;
+                          max_body_literals = cap;
+                        }
+                      in
+                      let plan = Learning.Bottom_clause.plan d.db bias in
+                      let rows = Compiled.Symtab.create ()
+                      and literals = Compiled.Symtab.create () in
+                      List.iteri
+                        (fun i example ->
+                          let rng () = Random.State.make [| seed; i |] in
+                          let g =
+                            Learning.Bottom_clause.ground ~config plan rows
+                              ~rng:(rng ()) ~example
+                          in
+                          let reference =
+                            Compiled.compile_ground literals ~example
+                              (Oracle.ground_bottom_clause ~config d.db bias
+                                 ~rng:(rng ()) ~example)
+                          in
+                          incr checked;
+                          if Compiled.view rows g <> Compiled.view literals reference
+                          then
+                            mismatches :=
+                              Printf.sprintf "%s seed %d %s %s cap %d example %d"
+                                name seed bias_name
+                                (Sampling.Strategy.to_string strategy)
+                                cap i
+                              :: !mismatches)
+                        examples)
+                    [ 1000; 40; 7 ])
+                Sampling.Strategy.all)
+            [ ("manual", d.Datasets.Dataset.manual_bias); ("autobias", auto_bias d) ])
+        [ 3; 8 ])
+    ground_datasets;
+  Alcotest.(check (list string))
+    (Printf.sprintf "grounds differing from the oracle's, of %d" !checked)
+    [] (List.rev !mismatches)
+
+(* Pool workers build a context's grounds concurrently, interning into one
+   symbol table in whatever order they run; the grounds must not change. *)
+let pooled_warm () =
+  List.iter
+    (fun (name, generate) ->
+      let d = generate 5 in
+      let bias = auto_bias d in
+      let examples = d.Datasets.Dataset.positives @ d.Datasets.Dataset.negatives in
+      let warmed pool =
+        let cov = Coverage.create d.db bias ~rng:(Random.State.make [| 5 |]) in
+        Coverage.warm ?pool cov examples;
+        let tab = Learning.Eval_plan.symtab (Coverage.plans cov) in
+        List.map (fun e -> Compiled.view tab (Coverage.ground_of cov e)) examples
+      in
+      let sequential = warmed None in
+      let pooled = Pool.with_pool ~size:2 (fun p -> warmed (Some p)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d pooled grounds equal the sequential ones" name
+           (List.length examples))
+        true (pooled = sequential))
+    (List.filter (fun (n, _) -> n = "uw" || n = "sys") ground_datasets)
 
 (* ---------------- Steps sorted by parent runs ---------------- *)
 
@@ -575,5 +674,9 @@ let suite =
           `Quick wide_clauses;
         test_case "compiled kernel agrees with the oracle, 2x faster at p95"
           `Slow kernel_vs_oracle;
+        test_case "ground bottom clauses equal the symbolic oracle's" `Slow
+          ground_identity;
+        test_case "a pooled warm builds the sequential warm's grounds" `Slow
+          pooled_warm;
       ]
   @ learner_tests

@@ -76,6 +76,8 @@ let protocol_tests =
             "learn uw timeout=nan";
             "learn uw deadline=nan";
             "learn uw deadline=-inf";
+            "learn uw scale=0.2 timeout=-5";
+            "learn uw deadline=-1";
             "infer uw limit=-3";
             "explain uw limit=-1";
           ]);

@@ -4,7 +4,8 @@
     then drop literals that lost head-connectedness. Implemented as a single
     incremental frontier sweep on the compiled kernel
     ({!Logic.Compiled.generalize}), with the clause's plan and the example's
-    ground BC taken from [cov]'s caches. *)
+    ground BC taken from [cov]'s caches, and behind [cov]'s memo
+    ({!Coverage.generalize}). *)
 
 (** [generalize cov clause ~example] applies ARMG. [None] when the clause
     head cannot be bound to [example]. The result covers [example]

@@ -21,7 +21,10 @@
     ground BC is a pure function of (master seed, example) — identical no
     matter which domain builds it, in what order, or whether a pool is used
     at all. That per-example derivation is what makes the learner's
-    sequential and 1-domain-pool runs produce identical definitions. *)
+    sequential and 1-domain-pool runs produce identical definitions. It
+    also makes coverage verdicts and ARMG results over a ground BC pure, so
+    the context memoizes both per (clause, example) pair (the memo
+    sections below). *)
 
 module Value = Relational.Value
 
@@ -56,7 +59,25 @@ let m_ground_bcs = Obs.Metrics.counter "coverage.ground_bcs_built"
    One hash of the whole (clause key, example) pair picks both the stripe
    and the bucket: the plan's full-key hash, computed once at compile time,
    mixed with the example's. The bucket index takes the low bits, so the
-   stripe comes from high bits the bucket index never reads. *)
+   stripe comes from high bits the bucket index never reads.
+
+   {2 The ARMG memo}
+
+   ARMG (Section 2.3.2) is just as pure: its result is a function of
+   (clause, ground BC), and the learner asks the same pairs again and
+   again — a beam entry re-chained against a target it met before, or a
+   clause generalized against an example the verdict memo already holds
+   as [Covered]. The memo answers both without a sweep. Beside each
+   verdict stripe sits an ARMG stripe under the same keys and lock: a
+   repeated pair returns the remembered result (the clause itself, so its
+   plan is a cache hit too), and a [Covered] pair returns the clause ARMG
+   builds when every literal is kept. That shortcut is exact: {!eval} and
+   ARMG run one sweep at one cap, and ARMG drops a literal only where
+   [eval]'s frontier would die. [Covered] enters the verdict memo only
+   from a kernel sweep (the prune store answers [Blocked] only). Like the
+   verdict memo, the ARMG memo counts nothing and changes no result; it
+   exists exactly when the verdict memo does, and ["memo"] chaos bypasses
+   both. *)
 
 let memo_stripes = 16
 let memo_stripe_cap = 1 lsl 14  (** per stripe; ~256k entries in total *)
@@ -77,6 +98,8 @@ end)
 
 type memo = {
   tables : Logic.Compiled.verdict Memo_tbl.t array;
+  armg : Logic.Clause.t option Memo_tbl.t array;
+      (** ARMG results, keyed and locked like [tables] *)
   locks : Mutex.t array;
 }
 
@@ -116,6 +139,7 @@ let create ?(bc_config = Bottom_clause.default_config) ?budget
          Some
            {
              tables = Array.init memo_stripes (fun _ -> Memo_tbl.create 512);
+             armg = Array.init memo_stripes (fun _ -> Memo_tbl.create 512);
              locks = Array.init memo_stripes (fun _ -> Mutex.create ());
            }
        else None);
@@ -157,6 +181,21 @@ let memo_hash ~key_hash example =
 (* Bits 58–61 of a 62-bit hash: a stripe holds at most 2^14 entries, so its
    bucket array never reaches 2^58 and never reads them. *)
 let memo_stripe hash = (hash lsr 58) land (memo_stripes - 1)
+
+let memo_key plan example =
+  {
+    hash = memo_hash ~key_hash:(Logic.Compiled.key_hash plan) example;
+    key = Logic.Compiled.key plan;
+    example;
+  }
+
+(* Remembers [v] under [key] unless the stripe is full or a racing caller
+   got there first (with the same value: both are pure). *)
+let remember lock tbl key v =
+  Mutex.lock lock;
+  if Memo_tbl.length tbl < memo_stripe_cap && not (Memo_tbl.mem tbl key) then
+    Memo_tbl.add tbl key v;
+  Mutex.unlock lock
 
 (** [ground_of t example] is the cached compiled ground bottom clause of
     [example]. *)
@@ -315,9 +354,8 @@ let eval_src t clause example =
      identical, so chaos here degrades throughput, never correctness. *)
   | Some _ when Chaos.fires "memo" -> (compute t clause plan example, false)
   | Some m -> (
-      let hash = memo_hash ~key_hash:(Logic.Compiled.key_hash plan) example in
-      let key = { hash; key = Logic.Compiled.key plan; example } in
-      let s = memo_stripe hash in
+      let key = memo_key plan example in
+      let s = memo_stripe key.hash in
       let lock = m.locks.(s) and tbl = m.tables.(s) in
       Mutex.lock lock;
       let cached = Memo_tbl.find_opt tbl key in
@@ -329,13 +367,49 @@ let eval_src t clause example =
       | None ->
           Budget.hit_opt t.budget Budget.Coverage_memo_miss;
           let v = compute t clause plan example in
-          Mutex.lock lock;
-          if Memo_tbl.length tbl < memo_stripe_cap && not (Memo_tbl.mem tbl key)
-          then Memo_tbl.add tbl key v;
-          Mutex.unlock lock;
+          remember lock tbl key v;
           (v, false))
 
 let eval t clause example = fst (eval_src t clause example)
+
+(** [generalize t clause ~example ~build] — ARMG of [(clause, example)]
+    through the ARMG memo: a remembered result; else [build] of the
+    all-kept mask when the verdict memo holds the pair [Covered]; else
+    [build] of {!Eval_plan.generalize}'s mask, the one sweep. Either of the
+    last two is remembered. Locks are held for table operations only; a
+    racing miss recomputes the same result. *)
+let generalize t clause ~example ~build =
+  let sweep () =
+    Option.map build (Eval_plan.generalize t.plans clause (ground_of t example))
+  in
+  match t.memo with
+  | None -> sweep ()
+  | Some _ when Chaos.fires "memo" -> sweep ()
+  | Some m -> (
+      let plan = Eval_plan.plan_for t.plans clause in
+      let key = memo_key plan example in
+      let s = memo_stripe key.hash in
+      let lock = m.locks.(s) in
+      Mutex.lock lock;
+      let known = Memo_tbl.find_opt m.armg.(s) key in
+      let covered =
+        Option.is_none known
+        &&
+        match Memo_tbl.find_opt m.tables.(s) key with
+        | Some (Logic.Compiled.Covered _) -> true
+        | Some (Logic.Compiled.Blocked _) | None -> false
+      in
+      Mutex.unlock lock;
+      match known with
+      | Some r -> r
+      | None ->
+          let r =
+            if covered then
+              Some (build (Array.make (Logic.Compiled.n_body plan) true))
+            else sweep ()
+          in
+          remember lock m.armg.(s) key r;
+          r)
 
 (** [covers t clause example] tests whether [clause] covers [example]. *)
 let covers t clause example =

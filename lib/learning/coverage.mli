@@ -17,7 +17,8 @@ type t
     [?budget] receives the context's search counters (subsumption tries,
     frontier truncations, memo hits/misses, constraints learned) — the only
     per-run tally of them — and never changes any verdict. [?use_cache]
-    (default [true]) enables the lock-striped verdict memo: verdicts are pure
+    (default [true]) enables the lock-striped verdict memo and the ARMG
+    memo beside it ({!generalize}): verdicts and ARMG results are pure
     functions of (clause, example) given the captured seed, so caching is
     invisible to results — [false] exists for A/B measurement.
     [?use_pruning] (default [true]) arms the failure-constraint store
@@ -65,7 +66,7 @@ val database : t -> Relational.Database.t
 val ground_of : t -> Relational.Relation.tuple -> Logic.Compiled.ground
 
 (** [plans t] — the symbol table and plan cache the context compiles
-    against: what {!Armg} sweeps with. *)
+    against. *)
 val plans : t -> Eval_plan.t
 
 (** [warm ?pool t examples] precomputes ground BCs (the paper builds them
@@ -99,6 +100,23 @@ val probe_pruned :
     literal a [Blocked i] verdict points at (the head for [i = 0]). Shared
     with {!Explain.Not_covered}. *)
 val blocking_key : t -> Logic.Clause.t -> int -> int array
+
+(** [generalize t clause ~example ~build] — {!Armg}'s sweep behind the
+    ARMG memo, which lives and dies with the verdict memo ([use_cache]).
+    [build kept] turns a kept-literal mask over [clause]'s body into ARMG's
+    clause. A (clause key, example) pair asked before returns the
+    remembered clause, physically; a pair the verdict memo holds as
+    [Covered] returns [build] of the all-kept mask (exact: ARMG drops a
+    literal only where {!eval}'s frontier dies); any other pair runs
+    {!Eval_plan.generalize} on the example's ground BC. Either of the last
+    two is remembered. [None] when the plan's head cannot bind. Counts
+    nothing; ["memo"] chaos bypasses the memo as it does {!eval}'s. *)
+val generalize :
+  t ->
+  Logic.Clause.t ->
+  example:Relational.Relation.tuple ->
+  build:(bool array -> Logic.Clause.t) ->
+  Logic.Clause.t option
 
 val covers : t -> Logic.Clause.t -> Relational.Relation.tuple -> bool
 

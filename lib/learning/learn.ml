@@ -128,7 +128,16 @@ type scored = {
           leaves a suffix untested), which is the conservative direction *)
 }
 
-let clause_key c = Logic.Clause.to_string c
+(* Beam dedup keys: a clause's compiled plan, equal when the canonical keys
+   are — injective exactly where [Clause.to_string] is, without printing —
+   and hashed over the whole key ([Hashtbl.hash] reads only its first ten
+   ints, which every clause of one ARMG lineage shares). *)
+module Plan_tbl = Hashtbl.Make (struct
+  type t = Logic.Compiled.plan
+
+  let equal a b = Logic.Compiled.key a = Logic.Compiled.key b
+  let hash = Logic.Compiled.key_hash
+end)
 
 (* Search-funnel classification of one scored candidate: how was its
    verdict settled? Exactly one class per resolved candidate, so the
@@ -429,8 +438,9 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
     Obs.Trace.span ~cat:"learn" "beam_step" @@ fun () ->
     Obs.Trace.arg "step" (string_of_int !steps);
     let targets = sample_list rng config.generalization_sample uncovered in
-    let seen = Hashtbl.create 16 in
-    List.iter (fun s -> Hashtbl.replace seen (clause_key s.clause) ()) !beam;
+    let plan_of = Eval_plan.plan_for (Coverage.plans cov) in
+    let seen = Plan_tbl.create 16 in
+    List.iter (fun s -> Plan_tbl.replace seen (plan_of s.clause) ()) !beam;
     let collected = ref [] in
     (* Pair the targets and chain ARMG through both (as in ProGolem's
        iterated armg): every candidate costs a scoring round, so fewer,
@@ -469,9 +479,9 @@ let learn_clause ~config ~cov ~rng ~budget ~candidates_evaluated ~uncovered
       (fun (entry, _) -> function
         | None -> ()
         | Some clause ->
-            let key = clause_key clause in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
+            let key = plan_of clause in
+            if not (Plan_tbl.mem seen key) then begin
+              Plan_tbl.replace seen key ();
               (* keep the ARMG parent: the child inherits its verified
                  covered sets during evaluation *)
               collected := (clause, entry) :: !collected

@@ -6,19 +6,24 @@
     module compiles both sides of the test once:
 
     - predicate symbols, constants and ground tuples are {e interned} into
-      contiguous int ids ({!Symtab}), making every equality test an int
-      comparison; a tuple's values are interned once per table;
+      contiguous int ids ({!Symtab}); a tuple's values are interned once per
+      table;
     - a ground bottom clause is a sequence of interned tuples (rows),
-      flattened into int arrays with precomputed per-predicate and
-      per-(predicate, position, value) adjacency indexes
-      ({!ground_of_rows}), probed without hashing strings;
+      flattened into int arrays of {e local} ids: the ground's own constants
+      numbered 0…n−1 in [Value.compare] order ({!ground_of_rows}). Its
+      per-predicate and per-(predicate, position, local id) adjacency
+      indexes are keyed by one int each: the ground bounds both its widest
+      arity and its local ids, so packing the triple is injective and a
+      probe allocates nothing;
     - a candidate clause is compiled into a {!plan}: dense variable
       numbering, int-coded head and body, and a canonical int key that
       keys the coverage memo;
     - the sweep runs over reusable {!scratch} arenas — substitutions are
-      int arrays indexed by dense variable id, frontiers are index arrays
-      into a pair of swap banks — so a frontier step is loops over ints with
-      no per-step allocation.
+      int arrays of local ids indexed by dense variable id, frontiers are
+      index arrays into a pair of swap banks — so a frontier step is loops
+      over ints with no per-step allocation. A plan literal's constants are
+      mapped to local ids when the sweep reaches it; a constant the ground
+      lacks matches nothing.
 
     {b The frontier.} Each body literal extends every frontier substitution
     by its matches in the ground (fair expansion: each substitution gets an
@@ -44,10 +49,11 @@
     tests keep as an oracle — same verdicts, same witnesses, same truncation
     counts, same ARMG kept literals. The invariants that make this work:
 
-    - interning is injective, so id equality ⟺ value equality, and ids are
-      {e never ordered}: ordering always goes through [Value.compare] on the
-      reverse array, so concurrent interning by pool workers (which permutes
-      id assignment) cannot change any comparison;
+    - local ids are ranks in [Value.compare] order over the ground's own
+      values, so comparing two local ids {e is} comparing their values, and
+      the numbering depends on nothing but those values: concurrent
+      interning by pool workers, which permutes symbol-table ids, cannot
+      change any comparison;
     - after each frontier step every substitution binds the same variable
       set, so [Substitution.compare] (an [Int_map.compare]) reduces to
       lexicographic [Value.compare] over ascending variable id — replicated
@@ -167,12 +173,13 @@ module Symtab = struct
     Mutex.unlock t.lock;
     r
 
-  (* Lock-free read of the reverse array. Safe because callers only index it
-     with ids obtained from a plan or compiled ground that was published to
-     them through a mutex (the plan cache or the ground-BC cache): the
-     release/acquire pair orders the interning writes — including the array
-     growth — before this read, and growth only ever appends. *)
-  let values t = t.values
+  (* The reverse array as of now: every id interned so far indexes it, and
+     no id it holds is ever rewritten (growth copies into a new array). *)
+  let values t =
+    Mutex.lock t.lock;
+    let v = t.values in
+    Mutex.unlock t.lock;
+    v
 
   let pred_names t =
     Mutex.lock t.lock;
@@ -187,18 +194,6 @@ let row_args r = r.args
 
 (** {1 Compiled ground clauses} *)
 
-(* Adjacency keys are (pred id, position, const id) triples in their own
-   hashtable: a packed-int key would need bounds on ids interned after the
-   ground was compiled, and a wrong-bucket collision would silently corrupt
-   verdicts. The per-probe tuple lives and dies in the minor heap; the hash
-   is plain int arithmetic, no C call. *)
-module Adj = Hashtbl.Make (struct
-  type t = int * int * int
-
-  let equal (a, b, c) (d, e, f) = a = d && b = e && c = f
-  let hash (a, b, c) = hash_finish (hash_mix (hash_mix (hash_mix hash_seed a) b) c)
-end)
-
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -206,63 +201,144 @@ module Int_tbl = Hashtbl.Make (struct
   let hash x = x land max_int
 end)
 
+(* Packed adjacency keys carry structure in their low bits (consecutive
+   local ids), so they are mixed before bucketing. *)
+module Packed_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = hash_finish (hash_mix hash_seed x)
+end)
+
 type ground = {
   g_pred : int array;  (** literal index → predicate id *)
   g_off : int array;  (** literal index → offset into [g_args]; length n+1 *)
-  g_args : int array;  (** flattened const ids of every literal *)
+  g_args : int array;  (** flattened local ids of every literal *)
+  g_vals : Value.t array;
+      (** local id → value, ascending in [Value.compare]: the ground's
+          distinct constants, its example's included *)
+  g_local : int Int_tbl.t;  (** symbol-table const id → local id *)
+  g_width : int;  (** the widest literal's arity (at least 1) *)
   g_by_pred : int array Int_tbl.t;
       (** predicate id → literal indexes, {e reverse} insertion order (the
           order the reference engine's prepend-built buckets iterate in) *)
-  g_adj : int array Adj.t;
-      (** (pred, pos, const) → literal indexes, reverse insertion order *)
-  g_example : int array;  (** the interned example tuple *)
+  g_adj : int array Packed_tbl.t;
+      (** {!adj_key} (pred, pos, local id) → literal indexes, reverse
+          insertion order *)
+  g_example : int array;  (** the example tuple's local ids *)
 }
 
 let ground_size g = Array.length g.g_pred
 
+(* Injective on [0 ≤ pos < g_width] and [0 ≤ local < |g_vals|], the only
+   triples the ground indexes or the sweep probes. *)
+let adj_key g ~pred ~pos local =
+  (((pred * g.g_width) + pos) * Array.length g.g_vals) + local
+
+(* The local id of symbol-table const id [c], or [-1] when the ground does
+   not hold [c]. *)
+let local_of g c =
+  match Int_tbl.find g.g_local c with l -> l | exception Not_found -> -1
+
+(* A domain's workspace for numbering a ground's constants: const id → its
+   slot in the ground being built, valid where [seen] holds that build's
+   stamp, so nothing is cleared between builds. Grown to the largest const
+   id met; a domain builds one ground at a time. *)
+type numbering = {
+  mutable stamp : int;
+  mutable seen : int array;
+  mutable slot : int array;
+}
+
+let numbering =
+  Domain.DLS.new_key (fun () -> { stamp = 0; seen = [||]; slot = [||] })
+
 (** [ground_of_rows tab ~example rows] — the ground whose body is [rows] in
     order (a row listed twice is two literals), with [example] interned
-    alongside so evaluation never touches the symbol table. The indexes are
-    built from the rows' ids alone. *)
+    alongside so evaluation never touches the symbol table. The ground's
+    constants are numbered by value first; the indexes are then built from
+    the rows' predicates and local ids alone. *)
 let ground_of_rows tab ~example rows =
   let n = Array.length rows in
-  let g_pred = Array.make n 0 in
-  let g_off = Array.make (n + 1) 0 in
+  let example = Array.map (Symtab.const_id tab) example in
   let total = Array.fold_left (fun acc r -> acc + Array.length r.args) 0 rows in
-  let g_args = Array.make (max 1 total) 0 in
-  let by_pred = Int_tbl.create 16 in
-  let adj = Adj.create 64 in
-  let push tbl find add key i =
-    match find tbl key with Some b -> b := i :: !b | None -> add tbl key (ref [ i ])
+  (* Slots in first-seen order, one per distinct const id: [g_args] and
+     [ex] hold slots until the slots are ranked by value. *)
+  let w = Domain.DLS.get numbering in
+  w.stamp <- w.stamp + 1;
+  let stamp = w.stamp and ids = Array.make (total + Array.length example) 0 in
+  let m = ref 0 in
+  let slot c =
+    if c >= Array.length w.seen then begin
+      let grow a = Array.append a (Array.make (c + 1 + Array.length a) 0) in
+      w.seen <- grow w.seen;
+      w.slot <- grow w.slot
+    end;
+    if w.seen.(c) = stamp then w.slot.(c)
+    else begin
+      w.seen.(c) <- stamp;
+      w.slot.(c) <- !m;
+      ids.(!m) <- c;
+      incr m;
+      !m - 1
+    end
   in
-  let off = ref 0 in
+  let g_off = Array.make (n + 1) 0 and g_args = Array.make (max 1 total) 0 in
   Array.iteri
     (fun i r ->
-      g_pred.(i) <- r.pred;
-      g_off.(i) <- !off;
-      push by_pred Int_tbl.find_opt Int_tbl.add r.pred i;
-      Array.iteri
-        (fun pos c ->
-          g_args.(!off + pos) <- c;
-          push adj Adj.find_opt Adj.add (r.pred, pos, c) i)
-        r.args;
-      off := !off + Array.length r.args)
+      let off = g_off.(i) in
+      Array.iteri (fun pos c -> g_args.(off + pos) <- slot c) r.args;
+      g_off.(i + 1) <- off + Array.length r.args)
     rows;
-  g_off.(n) <- !off;
+  let ex = Array.map slot example in
+  let m = !m and vals = Symtab.values tab in
+  let by_value = Array.init m Fun.id in
+  Array.stable_sort
+    (fun i j -> Value.compare vals.(ids.(i)) vals.(ids.(j)))
+    by_value;
+  let local = Array.make m 0 and g_local = Int_tbl.create m in
+  Array.iteri
+    (fun l i ->
+      local.(i) <- l;
+      Int_tbl.add g_local ids.(i) l)
+    by_value;
+  for k = 0 to total - 1 do
+    g_args.(k) <- local.(g_args.(k))
+  done;
+  let g =
+    {
+      g_pred = Array.map (fun r -> r.pred) rows;
+      g_off;
+      g_args;
+      g_vals = Array.map (fun i -> vals.(ids.(i))) by_value;
+      g_local;
+      g_width =
+        Array.fold_left (fun acc r -> max acc (Array.length r.args)) 1 rows;
+      g_by_pred = Int_tbl.create 16;
+      g_adj = Packed_tbl.create 64;
+      g_example = Array.map (fun i -> local.(i)) ex;
+    }
+  in
+  let by_pred = Int_tbl.create 16 and adj = Packed_tbl.create 64 in
+  let push find add tbl key i =
+    match find tbl key with
+    | b -> b := i :: !b
+    | exception Not_found -> add tbl key (ref [ i ])
+  in
+  Array.iteri
+    (fun i r ->
+      push Int_tbl.find Int_tbl.add by_pred r.pred i;
+      for pos = 0 to Array.length r.args - 1 do
+        push Packed_tbl.find Packed_tbl.add adj
+          (adj_key g ~pred:r.pred ~pos g_args.(g_off.(i) + pos))
+          i
+      done)
+    rows;
   (* Array.of_list keeps the prepend-reversed order, matching the reference
      engine's bucket iteration order exactly. *)
-  let g_by_pred = Int_tbl.create (Int_tbl.length by_pred) in
-  Int_tbl.iter (fun p b -> Int_tbl.add g_by_pred p (Array.of_list !b)) by_pred;
-  let g_adj = Adj.create (Adj.length adj) in
-  Adj.iter (fun k b -> Adj.add g_adj k (Array.of_list !b)) adj;
-  {
-    g_pred;
-    g_off;
-    g_args;
-    g_by_pred;
-    g_adj;
-    g_example = Array.map (Symtab.const_id tab) example;
-  }
+  Int_tbl.iter (fun p b -> Int_tbl.add g.g_by_pred p (Array.of_list !b)) by_pred;
+  Packed_tbl.iter (fun k b -> Packed_tbl.add g.g_adj k (Array.of_list !b)) adj;
+  g
 
 (** [compile_ground tab ~example lits] — {!ground_of_rows} of ground
     literals [lits]. Raises [Invalid_argument] on a non-ground literal. *)
@@ -288,7 +364,7 @@ type ground_view = {
 }
 
 let view tab g =
-  let names = Symtab.pred_names tab and vals = Symtab.values tab in
+  let names = Symtab.pred_names tab and nv = Array.length g.g_vals in
   let sorted l = List.sort compare l in
   {
     literals =
@@ -296,17 +372,21 @@ let view tab g =
         (fun i p ->
           ( names.(p),
             Array.init (g.g_off.(i + 1) - g.g_off.(i)) (fun k ->
-                vals.(g.g_args.(g.g_off.(i) + k))) ))
+                g.g_vals.(g.g_args.(g.g_off.(i) + k))) ))
         g.g_pred;
     offsets = Array.copy g.g_off;
     by_pred =
       sorted (Int_tbl.fold (fun p b acc -> (names.(p), b) :: acc) g.g_by_pred []);
     adjacency =
       sorted
-        (Adj.fold
-           (fun (p, pos, c) b acc -> ((names.(p), pos, vals.(c)), b) :: acc)
+        (Packed_tbl.fold
+           (fun k b acc ->
+             let pp = k / nv in
+             ( (names.(pp / g.g_width), pp mod g.g_width, g.g_vals.(k mod nv)),
+               b )
+             :: acc)
            g.g_adj []);
-    example = Array.map (fun c -> vals.(c)) g.g_example;
+    example = Array.map (fun l -> g.g_vals.(l)) g.g_example;
   }
 
 (** {1 Compiled clause plans} *)
@@ -429,6 +509,8 @@ type scratch = {
       (** frontier position → its first extension; one past the last
           parent, the extension count *)
   mutable par : int array;  (** frontier positions in ascending order *)
+  mutable largs : int array;
+      (** the current literal's args, its constants as local ids *)
 }
 
 let make_scratch () =
@@ -443,6 +525,7 @@ let make_scratch () =
     aux = [||];
     first = [||];
     par = [||];
+    largs = [||];
   }
 
 let ensure_scratch s ~nvars ~cap =
@@ -525,14 +608,14 @@ let sort_range ord aux lo hi cmp =
   done
 
 (* Lexicographic order of two substitutions over variables [from..nvars-1].
-   Both bind the same variables (see the header), so [-1] meets [-1];
-   distinct ids are distinct values (interning is injective), so comparing
-   through the reverse array agrees with [Substitution.compare]. *)
-let compare_from vals (a : int array) (b : int array) from nvars =
+   Both bind the same variables (see the header), so [-1] meets [-1]; local
+   ids are ranks by value, so comparing them agrees with
+   [Substitution.compare]. *)
+let compare_from (a : int array) (b : int array) from nvars =
   let r = ref 0 and v = ref from in
   while !r = 0 && !v < nvars do
     let x = a.(!v) and y = b.(!v) in
-    if x <> y then r := Value.compare vals.(x) vals.(y);
+    if x <> y then r := if x < y then -1 else 1;
     incr v
   done;
   !r
@@ -551,8 +634,8 @@ type verdict = Covered of Substitution.t | Blocked of int
 let default_frontier_cap = 24
 
 (* Head binding (the compiled [Coverage.head_subst]) into [bank_a.(0)], the
-   sweep's initial frontier: const head args compare by id against the
-   interned example, var args bind. *)
+   sweep's initial frontier: const head args compare by local id against
+   the example, var args bind. *)
 let bind_head scratch plan g ~cap =
   ensure_scratch scratch ~nvars:plan.p_nvars ~cap;
   Array.length plan.p_head = Array.length g.g_example
@@ -564,7 +647,7 @@ let bind_head scratch plan g ~cap =
          (fun i a ->
            if !ok then
              if a >= 0 then begin
-               if a <> g.g_example.(i) then ok := false
+               if local_of g a <> g.g_example.(i) then ok := false
              end
              else begin
                let v = -a - 1 in
@@ -582,7 +665,7 @@ let bind_head scratch plan g ~cap =
    [k.(lit) <- false] while the previous frontier carries on to the next
    literal. Returns the 1-based blocking index (0 once every literal is
    swept) and the final frontier's first substitution. *)
-let sweep ~cap ?budget ~kept scratch vals plan g =
+let sweep ~cap ?budget ~kept scratch plan g =
   let nvars = plan.p_nvars in
   (* Frontier state: [cur_bank.(cur_idx.(0..n-1))] in logical order, which
      [order] relates to ascending order (the head binding is a singleton). *)
@@ -599,8 +682,22 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
   let li = ref 0 in
   while !blocked = 0 && !li < nlits do
     let lit = !li in
-    let pred = plan.p_pred.(lit) and args = plan.p_args.(lit) in
-    let arity = Array.length args in
+    let pred = plan.p_pred.(lit) in
+    let arity = Array.length plan.p_args.(lit) in
+    if Array.length scratch.largs < arity then
+      scratch.largs <- Array.make arity 0;
+    (* The literal in local ids. A constant the ground lacks matches no
+       ground literal, so no parent extends. *)
+    let args = scratch.largs and matchable = ref true in
+    Array.iteri
+      (fun pos a ->
+        if a >= 0 then begin
+          let l = local_of g a in
+          if l < 0 then matchable := false;
+          args.(pos) <- l
+        end
+        else args.(pos) <- a)
+      plan.p_args.(lit);
     let per_subst = max 2 (3 * cap / max 1 !n) in
     let out_n = ref 0 in
     (* Expansion: for each frontier substitution, probe the smallest
@@ -608,7 +705,7 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
        tie rule) and keep the first [per_subst] successful extensions in
        bucket order. Each parent's extensions are contiguous from
        [first.(fi)]. *)
-    for fi = 0 to !n - 1 do
+    for fi = 0 to (if !matchable then !n else 0) - 1 do
       first.(fi) <- !out_n;
       let s = !cur_bank.(!cur_idx.(fi)) in
       let best = ref empty_bucket and best_len = ref (-1) in
@@ -617,8 +714,10 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
         let bound = if a >= 0 then a else s.(-a - 1) in
         if bound >= 0 then begin
           let bucket =
-            try Adj.find g.g_adj (pred, pos, bound)
-            with Not_found -> empty_bucket
+            if pos >= g.g_width then empty_bucket
+            else
+              try Packed_tbl.find g.g_adj (adj_key g ~pred ~pos bound)
+              with Not_found -> empty_bucket
           in
           let len = Array.length bucket in
           if !best_len < 0 || len < !best_len then begin
@@ -732,9 +831,9 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
           done;
           if !order = Raw then
             sort_range par scratch.aux 0 nn (fun p q ->
-                compare_from vals cur.(ci.(p)) cur.(ci.(q)) 0 nvars);
+                compare_from cur.(ci.(p)) cur.(ci.(q)) 0 nvars);
           let bank = !nxt_bank in
-          let cmp x y = compare_from vals bank.(x) bank.(y) j nvars in
+          let cmp x y = compare_from bank.(x) bank.(y) j nvars in
           let m = ref 0 and r = ref 0 in
           while !r < nn do
             let lead = cur.(ci.(par.(!r))) in
@@ -800,20 +899,20 @@ let sweep ~cap ?budget ~kept scratch vals plan g =
     [Covered w] with the final frontier's first substitution as witness, or
     [Blocked i] at the first literal whose frontier dies ([Blocked 0] when
     the head cannot bind to the ground's example tuple). *)
-let eval ?(cap = default_frontier_cap) ?budget scratch tab plan g =
+let eval ?(cap = default_frontier_cap) ?budget scratch _tab plan g =
   Obs.Trace.span ~cat:"subsumption" "eval_compiled" @@ fun () ->
   if not (bind_head scratch plan g ~cap) then Blocked 0
   else begin
-    let vals = Symtab.values tab in
-    match sweep ~cap ?budget ~kept:None scratch vals plan g with
+    match sweep ~cap ?budget ~kept:None scratch plan g with
     | 0, s ->
-        (* Witness: decoded back to original variable ids. Every clause
-           variable occurs in the head or a matched body literal, so all
-           dense slots are bound. *)
+        (* Witness: decoded back to original variable ids, and through
+           the ground's value array to values. Every clause variable occurs
+           in the head or a matched body literal, so all dense slots are
+           bound. *)
         let w = ref Substitution.empty in
         for v = 0 to plan.p_nvars - 1 do
           if s.(v) >= 0 then
-            w := Substitution.bind plan.p_var_ids.(v) vals.(s.(v)) !w
+            w := Substitution.bind plan.p_var_ids.(v) g.g_vals.(s.(v)) !w
         done;
         Covered !w
     | blocked, _ ->
@@ -825,10 +924,10 @@ let eval ?(cap = default_frontier_cap) ?budget scratch tab plan g =
     (ARMG's blocking-atom removal): the kept-literal mask over [plan]'s
     body, or [None] when the head cannot bind. No budget: ARMG's frontier
     truncations are not coverage degradation. *)
-let generalize ?(cap = default_frontier_cap) scratch tab plan g =
+let generalize ?(cap = default_frontier_cap) scratch _tab plan g =
   if not (bind_head scratch plan g ~cap) then None
   else begin
     let kept = Array.make (n_body plan) true in
-    ignore (sweep ~cap ~kept:(Some kept) scratch (Symtab.values tab) plan g);
+    ignore (sweep ~cap ~kept:(Some kept) scratch plan g);
     Some kept
   end

@@ -3,28 +3,30 @@
 
     Predicate symbols, constants and ground tuples are interned into
     contiguous int ids; ground bottom clauses are sequences of interned
-    tuples (rows), flattened into int arrays with precomputed
-    per-(predicate, position, value) adjacency indexes; candidate clauses
-    compile once into evaluation {!plan}s; and the sweep runs over reusable
-    {!scratch} arenas — loops over int arrays, no per-step allocation.
+    tuples (rows), flattened into int arrays of {e local} ids — the
+    ground's own constants numbered 0…n−1 in [Value.compare] order — with
+    per-predicate and per-(predicate, position, local id) adjacency
+    indexes, each keyed by one packed int; candidate clauses compile once
+    into evaluation {!plan}s; and the sweep runs over reusable {!scratch}
+    arenas — loops over int arrays, no per-step allocation.
 
     {!eval} stops at the first body literal whose frontier dies (the
     blocking atom); {!generalize} drops it and carries the previous frontier
     on. Both replicate the symbolic reference engine the tests keep as an
     oracle: same verdicts, witnesses, truncation counts and kept literals.
-    Interned ids are only ever compared for equality; ordering goes through
-    [Value.compare] on the reverse array, so results do not depend on
-    interning order (and hence not on pool scheduling). *)
+    The sweep orders and compares local ids as plain ints: they are ranks
+    by value, numbered from the ground's values alone, so results do not
+    depend on interning order (and hence not on pool scheduling). A plan's
+    constants are mapped to local ids as the sweep reaches them; a constant
+    the ground lacks matches nothing. *)
 
 (** An interned ground literal: a (predicate, tuple) pair, interned once
     per symbol table. *)
 type row
 
 (** A process- or context-wide interner for predicate symbols, constant
-    values and ground tuples. Thread-safe: interning takes an internal
-    mutex; the kernel reads the constants' reverse array lock-free (safe
-    for ids published to it through any mutex, e.g. a plan or ground
-    cache). *)
+    values and ground tuples. Thread-safe: every operation takes an
+    internal mutex. The sweep never reads it. *)
 module Symtab : sig
   type t
 
@@ -46,12 +48,14 @@ val row_id : row -> int
 val row_args : row -> int array
 
 type ground
-(** A compiled ground clause body plus its interned example tuple. *)
+(** A compiled ground clause body plus its example tuple, both in the
+    ground's local ids, and the values those ids stand for. *)
 
 val ground_size : ground -> int
 
 (** [ground_of_rows tab ~example rows] — the ground whose body is [rows],
-    in order, indexed by predicate and by (predicate, position, const). *)
+    in order, its constants and [example]'s numbered by value, indexed by
+    predicate and by (predicate, position, local id). *)
 val ground_of_rows :
   Symtab.t -> example:Relational.Relation.tuple -> row array -> ground
 

@@ -330,9 +330,11 @@ let pooled_warm () =
    variables, introduced literal by literal as in a bottom clause but with
    ids shuffled against that order, so a literal's lowest new variable
    often lies below variables the frontier already binds; grounds of 20–60
-   literals over 6–8 values; caps 1–24. A case is (cap, slot → variable
-   id, body, ground, head value); a body argument [a] is slot [a] when
-   [a >= 0], else constant [-a - 1]. *)
+   literals over 6–8 values; caps 1–24. Clause constants range over one
+   value more than the ground's, so some are absent from it, and one head
+   in ten is a constant, which may fail to bind. A case is (cap, slot →
+   variable id, head, body, ground, example value); an argument [a] is
+   slot [a] when [a >= 0], else constant [-a - 1]. *)
 let wide_gen =
   QCheck.Gen.(
     let* cap = int_range 1 24 in
@@ -340,13 +342,11 @@ let wide_gen =
     let* ids = shuffle_l (List.init nv Fun.id) in
     let* nvals = int_range 6 8 in
     let* nbody = int_range 3 8 in
+    let const = map (fun c -> -c - 1) (int_bound nvals) in
     let arg i =
-      frequency
-        [
-          (9, int_bound (min (nv - 1) (i + 1)));
-          (1, map (fun c -> -c - 1) (int_bound (nvals - 1)));
-        ]
+      frequency [ (9, int_bound (min (nv - 1) (i + 1))); (1, const) ]
     in
+    let* head = frequency [ (9, return 0); (1, const) ] in
     let* body =
       flatten_l
         (List.init nbody (fun i -> triple (int_bound 2) (arg i) (arg i)))
@@ -356,9 +356,9 @@ let wide_gen =
         (triple (int_bound 2) (int_bound (nvals - 1)) (int_bound (nvals - 1)))
     in
     let* x = int_bound (nvals - 1) in
-    return (cap, Array.of_list ids, body, ground, x))
+    return (cap, Array.of_list ids, head, body, ground, x))
 
-let wide_case (cap, ids, body, ground, x) =
+let wide_case (cap, ids, head, body, ground, x) =
   let value i = Logic.Term.Const (Relational.Value.int i) in
   let term a = if a >= 0 then Logic.Term.Var ids.(a) else value (-a - 1) in
   let lit t (p, a, b) =
@@ -366,16 +366,17 @@ let wide_case (cap, ids, body, ground, x) =
   in
   let clause =
     Logic.Clause.make
-      (Logic.Literal.make "h" [| Logic.Term.Var ids.(0) |])
+      (Logic.Literal.make "h" [| term head |])
       (List.map (lit term) body)
   in
   (cap, clause, List.map (lit value) ground, [| Relational.Value.int x |])
 
 let print_wide case =
-  let cap, clause, ground, _ = wide_case case in
-  Printf.sprintf "cap %d\n%s\nground: %s" cap
+  let cap, clause, ground, example = wide_case case in
+  Printf.sprintf "cap %d\n%s\nground: %s\nexample: %s" cap
     (Logic.Clause.to_string clause)
     (String.concat ", " (List.map Logic.Literal.to_string ground))
+    (Relational.Value.to_string example.(0))
 
 (* Shapes of the oracle's steps of more than 8 extensions — the steps the
    kernel orders by parent runs. [j] is the literal's lowest new variable. *)
@@ -480,6 +481,46 @@ let wide_clauses () =
       "duplicate parents";
       "stride truncation";
     ]
+
+(* The ARMG memo answers a pair the verdict memo holds as [Covered] with
+   every literal kept. That rests on [eval] and [generalize] running one
+   sweep: [Covered] exactly when [generalize] keeps every literal,
+   [Blocked i] (i ≥ 1) exactly when literal i is the first it drops, and
+   [Blocked 0] exactly when it returns [None]. *)
+let eval_is_generalize () =
+  let first_dropped k =
+    let rec go j =
+      if j >= Array.length k then 0 else if k.(j) then go (j + 1) else j + 1
+    in
+    go 0
+  in
+  let outcomes = Hashtbl.create 3 in
+  let prop case =
+    let cap, c, ground, example = wide_case case in
+    let tab = Compiled.Symtab.create () in
+    let g = Compiled.compile_ground tab ~example ground in
+    let plan = Compiled.compile tab c in
+    let scratch = Compiled.make_scratch () in
+    let v = Compiled.eval ~cap scratch tab plan g in
+    let outcome, agree =
+      match (v, Compiled.generalize ~cap scratch tab plan g) with
+      | Compiled.Covered _, Some k -> ("covered", first_dropped k = 0)
+      | Compiled.Blocked 0, None -> ("head blocked", true)
+      | Compiled.Blocked i, Some k -> ("blocked", i >= 1 && first_dropped k = i)
+      | _ -> ("mismatch", false)
+    in
+    Hashtbl.replace outcomes outcome ();
+    agree
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 29 |])
+    (QCheck.Test.make ~count:600
+       ~name:"eval's verdict is generalize's first dropped literal"
+       (QCheck.make ~print:print_wide wide_gen)
+       prop);
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) (o ^ " cases occur") true (Hashtbl.mem outcomes o))
+    [ "covered"; "blocked"; "head blocked" ]
 
 (* ---------------- The kernel against the oracle, timed ---------------- *)
 
@@ -672,6 +713,8 @@ let suite =
       [
         test_case "compiled kernel equals the oracle on wide random clauses"
           `Quick wide_clauses;
+        test_case "eval is Covered exactly when generalize keeps every literal"
+          `Quick eval_is_generalize;
         test_case "compiled kernel agrees with the oracle, 2x faster at p95"
           `Slow kernel_vs_oracle;
         test_case "ground bottom clauses equal the symbolic oracle's" `Slow

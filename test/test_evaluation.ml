@@ -233,7 +233,20 @@ let autobias_tests =
         Alcotest.(check string) "memo off" default
           (learn { Autobias.default_config with coverage_cache = false });
         Alcotest.(check string) "pruning off" default
-          (learn { Autobias.default_config with pruning = false }));
+          (learn { Autobias.default_config with pruning = false });
+        (* "memo" chaos: half the verdict and ARMG memo probes are
+           bypassed and recomputed, which must not change a verdict or an
+           ARMG result either. *)
+        Chaos.configure ~p_fault:0.5 ~seed:42 [ "memo" ];
+        let chaotic, fired =
+          Fun.protect ~finally:Chaos.clear (fun () ->
+              let r = learn Autobias.default_config in
+              (r, Option.fold ~none:0 ~some:Chaos.injected (Chaos.get "memo")))
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "memo chaos at p = 0.5 (%d probes bypassed)" fired)
+          default chaotic;
+        Alcotest.(check bool) "memo chaos fired" true (fired > 0));
     Alcotest.test_case "bias_for matches each method's shape" `Quick (fun () ->
         let d = Datasets.Uw.generate ~scale:0.3 () in
         let config = Autobias.default_config in

@@ -426,3 +426,66 @@ let memo_tests =
   ]
 
 let suite = suite @ memo_tests
+
+(* Appended last so the tests above keep their indices in the suite. *)
+let armg_memo_tests =
+  [
+    Alcotest.test_case "ARMG through the memo equals the uncached sweep" `Slow
+      (fun () ->
+        (* A chain of ARMG steps on UW and SYS, asked of a cached context
+           and of an uncached one built alike. Each step is asked twice
+           (a sweep, then the remembered clause, physically), and its
+           result is evaluated against the same example, then generalized
+           against it twice more: a [Covered] verdict answers without a
+           sweep. Every answer must print as the uncached one. *)
+        List.iter
+          (fun (name, (d : Datasets.Dataset.t)) ->
+            let context use_cache =
+              Coverage.create ~use_cache d.db d.manual_bias
+                ~rng:(Random.State.make [| 7 |])
+            in
+            let cached = context true and uncached = context false in
+            let show = Option.fold ~none:"None" ~some:Clause.to_string in
+            let shortcuts = ref 0 in
+            let ask c e =
+              let first = Learning.Armg.generalize cached c ~example:e in
+              let again = Learning.Armg.generalize cached c ~example:e in
+              let want = show (Learning.Armg.generalize uncached c ~example:e) in
+              Alcotest.(check string) (name ^ ": cached ARMG") want (show first);
+              Alcotest.(check bool) (name ^ ": asked again, the same clause")
+                true
+                (match (first, again) with
+                | Some a, Some b -> a == b
+                | None, None -> true
+                | _ -> false);
+              first
+            in
+            let positives = d.positives in
+            let bc =
+              Bottom_clause.build d.db d.manual_bias
+                ~rng:(Random.State.make [| 7; 1 |])
+                ~example:(List.hd positives)
+            in
+            ignore
+              (List.fold_left
+                 (fun c e ->
+                   match ask c e with
+                   | None -> c
+                   | Some g ->
+                       (match Coverage.eval cached g e with
+                       | Logic.Compiled.Covered _ -> incr shortcuts
+                       | Logic.Compiled.Blocked _ -> ());
+                       ignore (ask g e);
+                       g)
+                 bc
+                 (Logic.Util.take 10 (List.tl positives)));
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %d covered pairs generalized" name !shortcuts)
+              true (!shortcuts > 0))
+          [
+            ("uw", Datasets.Uw.generate ~seed:5 ~scale:0.3 ());
+            ("sys", Datasets.Sys_data.generate ~seed:5 ~scale:0.05 ());
+          ]);
+  ]
+
+let suite = suite @ armg_memo_tests
